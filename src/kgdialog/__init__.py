@@ -29,7 +29,6 @@ from .graph_weights import (
     WeightedGraph,
     build_bipartite,
     compute_weighted_graph,
-    default_scorer,
     feature_vector,
     relation_weights,
     select_topk,

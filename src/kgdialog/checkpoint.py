@@ -2,7 +2,7 @@
 
 Header fields: format version, model config, vocabulary hash, run config
 echo, and a named tensor manifest with shapes. Tensor bytes follow in
-manifest order, little-endian float321.
+manifest order, little-endian float32.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -45,11 +46,16 @@ def save_checkpoint(path: str | Path, state: ModelState, vocab_sha: str, run_con
 
 def read_header(path: str | Path) -> dict:
     with Path(path).open("rb") as f:
-        raw = f.read(4)
-        if len(raw) != 4:
-            raise CheckpointError(f"{path}: truncated header length")
-        (hlen,) = struct.unpack("<I", raw)
-        blob = f.read(hlen)
+        return _read_header(f, path)
+
+
+def _read_header(f: BinaryIO, path: str | Path) -> dict:
+    """Parse the length-prefixed header; leaves ``f`` at the first tensor byte."""
+    raw = f.read(4)
+    if len(raw) != 4:
+        raise CheckpointError(f"{path}: truncated header length")
+    (hlen,) = struct.unpack("<I", raw)
+    blob = f.read(hlen)
     if len(blob) != hlen:
         raise CheckpointError(f"{path}: truncated header")
     header = json.loads(blob.decode("utf-8"))
@@ -59,17 +65,15 @@ def read_header(path: str | Path) -> dict:
 
 
 def load_checkpoint(path: str | Path, expect_vocab_sha: str | None = None) -> tuple[ModelState, dict]:
-    header = read_header(path)
-    if expect_vocab_sha is not None and header["vocab_sha256"] != expect_vocab_sha:
-        raise VocabMismatchError(
-            f"{path}: checkpoint was trained with a different vocabulary "
-            f"({header['vocab_sha256'][:12]}... vs {expect_vocab_sha[:12]}...)"
-        )
-    cfg = ModelConfig.from_dict(header["model_config"])
-    params: dict[str, np.ndarray] = {}
-    offset = 4 + len(json.dumps(header, sort_keys=True).encode("utf-8"))
     with Path(path).open("rb") as f:
-        f.seek(offset)
+        header = _read_header(f, path)
+        if expect_vocab_sha is not None and header["vocab_sha256"] != expect_vocab_sha:
+            raise VocabMismatchError(
+                f"{path}: checkpoint was trained with a different vocabulary "
+                f"({header['vocab_sha256'][:12]}... vs {expect_vocab_sha[:12]}...)"
+            )
+        cfg = ModelConfig.from_dict(header["model_config"])
+        params: dict[str, np.ndarray] = {}
         for name, shape in header["tensors"]:
             count = int(np.prod(shape)) if shape else 1
             buf = f.read(4 * count)

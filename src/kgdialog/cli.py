@@ -179,6 +179,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _fill_from_checkpoint(cfg: RunConfig, args: argparse.Namespace, header: dict, keys: tuple[str, ...]) -> None:
+    """Let the checkpoint's run config fill the ``keys`` not given as flags."""
+    saved = header.get("run_config", {})
+    for key in keys:
+        if getattr(args, key, None) is None and key in saved:
+            setattr(cfg, key, saved[key])
+
+
 def _load_graph_file(path: Path) -> corpus.KnowledgeGraph:
     doc = json.loads(path.read_text(encoding="utf-8"))
     if isinstance(doc, dict) and "triples" in doc:
@@ -256,13 +264,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     state, header = load_checkpoint(args.ckpt, expect_vocab_sha=vocab_sha256(vocab))
 
     cfg = resolve_config(args)
-    saved = {k: v for k, v in header.get("run_config", {}).items()}
-    # checkpoint config supplies defaults for anything not set on the command line
-    for key in ("k_entity", "k_relation", "use_kg_mask", "temperature", "top_k", "top_p",
-                "max_response_length", "max_knowledge_tokens", "max_history_tokens",
-                "max_history_turns", "context_limit"):
-        if getattr(args, key, None) is None and key in saved:
-            setattr(cfg, key, saved[key])
+    _fill_from_checkpoint(cfg, args, header, (
+        "k_entity", "k_relation", "use_kg_mask", "temperature", "top_k", "top_p",
+        "max_response_length", "max_knowledge_tokens", "max_history_tokens",
+        "max_history_turns", "context_limit",
+    ))
 
     data = Path(args.data)
     split = corpus.load_dataset(data / f"{args.split}.json", args.split)
@@ -298,21 +304,18 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     vocab = load_vocab(vocab_path)
     state, header = load_checkpoint(args.ckpt, expect_vocab_sha=vocab_sha256(vocab))
     cfg = resolve_config(args)
-    saved = header.get("run_config", {})
-    for key in ("k_entity", "k_relation"):
-        if getattr(args, key, None) is None and key in saved:
-            setattr(cfg, key, saved[key])
+    _fill_from_checkpoint(cfg, args, header, ("k_entity", "k_relation"))
 
     graph = _load_graph_file(Path(args.kg))
     question = corpus.normalize_text(args.question)
     embedder = graph_weights.TokenEmbedder(vocab, state.params["tok_emb"])
-    scorer = graph_weights.default_scorer(embedder)
-    dump = graph_weights.inspect_dump(graph, question, scorer, embedder, cfg.k_entity, cfg.k_relation)
+    dump = graph_weights.inspect_dump(graph, question, embedder, cfg.k_entity, cfg.k_relation)
 
     if args.dump_mask:
         seq = assemble_input(linearize_graph(graph), [], question, None, vocab, cfg.limits())
-        wg = graph_weights.compute_weighted_graph(graph, question, scorer, embedder)
-        sel = graph_weights.select_topk(wg, cfg.k_entity, cfg.k_relation)
+        sel = graph_weights.Selection(
+            frozenset(dump["top_entities"]), frozenset(dump["top_relations"]), cfg.k_entity, cfg.k_relation
+        )
         dump["mask"] = masking.mask_summary(seq, sel, graph)
 
     print(json.dumps(dump, indent=1))
@@ -324,10 +327,9 @@ def cmd_chat(args: argparse.Namespace) -> int:
     vocab = load_vocab(vocab_path)
     state, header = load_checkpoint(args.ckpt, expect_vocab_sha=vocab_sha256(vocab))
     cfg = resolve_config(args)
-    saved = header.get("run_config", {})
-    for key in ("k_entity", "k_relation", "temperature", "top_k", "top_p", "max_response_length"):
-        if getattr(args, key, None) is None and key in saved:
-            setattr(cfg, key, saved[key])
+    _fill_from_checkpoint(cfg, args, header, (
+        "k_entity", "k_relation", "temperature", "top_k", "top_p", "max_response_length",
+    ))
     graph = _load_graph_file(Path(args.kg))
     limits = cfg.limits()
     seed = cfg.decode_seed
@@ -368,10 +370,8 @@ def cmd_chat(args: argparse.Namespace) -> int:
         if len(history) > limits.max_history_turns:
             dropped = len(history) - limits.max_history_turns
             print(f"(history budget: dropped {dropped} oldest turn{'s' if dropped != 1 else ''})", file=sys.stderr)
-        params = DecodingParams(
-            temperature=cfg.temperature, top_k=cfg.top_k, top_p=cfg.top_p,
-            max_response_length=cfg.max_response_length,
-            seed=int(np.random.SeedSequence([seed, turn_index]).generate_state(1)[0]),
+        params = dataclasses.replace(
+            cfg.decoding(), seed=int(np.random.SeedSequence([seed, turn_index]).generate_state(1)[0])
         )
         ids = sample_response(state, seq, masking.compose_mask(seq, cols), params, vocab.eos_id)
         response = " ".join(vocab.decode(ids))

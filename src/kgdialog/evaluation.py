@@ -13,7 +13,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -160,12 +160,8 @@ def evaluate(
             train_cfg.use_kg_mask, train_cfg.limits, with_gold=False,
         )
         mask = compose_mask(seq, cols)
-        params = DecodingParams(
-            temperature=decoding.temperature,
-            top_k=decoding.top_k,
-            top_p=decoding.top_p,
-            max_response_length=decoding.max_response_length,
-            seed=int(np.random.SeedSequence([decoding.seed, idx]).generate_state(1)[0]),
+        params = replace(
+            decoding, seed=int(np.random.SeedSequence([decoding.seed, idx]).generate_state(1)[0])
         )
         ids = sample_response(state, seq, mask, params, vocab.eos_id)
         return " ".join(vocab.decode(ids))

@@ -1,25 +1,20 @@
 """Question-conditioned graph weighting and top-k selection.
 
-Entity weights come from a pluggable scorer (default: cosine similarity of
-mean token embeddings). Relation weights come from one propagation step over
-an undirected graph whose nodes are entities *and* relation labels: the
-row-normalized matrix D^-1 (A+I) is applied to a cosine feature vector and
-the result is read off at the relation-node positions.
+One vector X holds the cosine similarity between the question and every
+node surface (mean token embeddings) of an undirected graph whose nodes are
+entities *and* relation labels. It feeds both weight families: entity
+weights are X at the entity nodes, relation weights are one propagation step
+D^-1 (A+I) X read off at the relation nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 from .corpus import KnowledgeGraph
 from .sequence import Vocabulary
-
-
-class EntityScorer(Protocol):
-    def score(self, question: str, entity_surface: str) -> float: ...
 
 
 class TokenEmbedder:
@@ -45,18 +40,6 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-class CosineScorer:
-    def __init__(self, embedder: TokenEmbedder):
-        self.embedder = embedder
-
-    def score(self, question: str, entity_surface: str) -> float:
-        return cosine(self.embedder.text_vector(question), self.embedder.text_vector(entity_surface))
-
-
-def default_scorer(embedder: TokenEmbedder) -> CosineScorer:
-    return CosineScorer(embedder)
-
-
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Undirected entity/relation-node graph with row-stochastic propagation.
@@ -70,7 +53,6 @@ class BipartiteGraph:
     n_relations: int
     adjacency: np.ndarray  # (d_g, d_g) symmetric 0/1, zero diagonal
     degrees: np.ndarray  # (d_g,) row sums of A+I
-    relation_mask: np.ndarray  # (d_g,) 1 at relation nodes
     surfaces: tuple[str, ...]
 
     @property
@@ -86,10 +68,8 @@ def build_bipartite(graph: KnowledgeGraph) -> BipartiteGraph:
         r = ne + t.relation
         a[t.subject, r] = a[r, t.subject] = 1.0
         a[r, t.object] = a[t.object, r] = 1.0
-    mask = np.zeros(d, dtype=np.float64)
-    mask[ne:] = 1.0
     surfaces = tuple(e.surface for e in graph.entities) + tuple(r.surface for r in graph.relations)
-    return BipartiteGraph(ne, nr, a, a.sum(axis=1) + 1.0, mask, surfaces)
+    return BipartiteGraph(ne, nr, a, a.sum(axis=1) + 1.0, surfaces)
 
 
 def feature_vector(bg: BipartiteGraph, question: str, embedder: TokenEmbedder) -> np.ndarray:
@@ -105,10 +85,13 @@ def propagate(bg: BipartiteGraph, x: np.ndarray) -> np.ndarray:
     return ((bg.adjacency @ x) + x) / bg.degrees
 
 
+def _at_relations(bg: BipartiteGraph, h: np.ndarray) -> dict[int, float]:
+    return {r: float(h[bg.n_entities + r]) for r in range(bg.n_relations)}
+
+
 def relation_weights(bg: BipartiteGraph, x: np.ndarray) -> dict[int, float]:
     """Raw per-relation scores: propagated features at relation nodes only."""
-    h = propagate(bg, x) * bg.relation_mask
-    return {r: float(h[bg.n_entities + r]) for r in range(bg.n_relations)}
+    return _at_relations(bg, propagate(bg, x))
 
 
 def softmax_map(raw: dict[int, float]) -> dict[int, float]:
@@ -128,17 +111,17 @@ class WeightedGraph:
     relation_weights: dict[int, float]
 
 
-def compute_weighted_graph(
-    graph: KnowledgeGraph,
-    question: str,
-    scorer: EntityScorer,
-    embedder: TokenEmbedder,
-) -> WeightedGraph:
-    """Softmax-normalized entity and relation weights, computed independently."""
-    ent_raw = {e.id: float(scorer.score(question, e.surface)) for e in graph.entities}
+def _weigh(bg: BipartiteGraph, x: np.ndarray, h: np.ndarray) -> WeightedGraph:
+    # entity ids are the first n_entities node indices
+    ent_raw = {e: float(x[e]) for e in range(bg.n_entities)}
+    return WeightedGraph(softmax_map(ent_raw), softmax_map(_at_relations(bg, h)))
+
+
+def compute_weighted_graph(graph: KnowledgeGraph, question: str, embedder: TokenEmbedder) -> WeightedGraph:
+    """Softmax-normalized entity and relation weights from one feature vector."""
     bg = build_bipartite(graph)
-    rel_raw = relation_weights(bg, feature_vector(bg, question, embedder))
-    return WeightedGraph(softmax_map(ent_raw), softmax_map(rel_raw))
+    x = feature_vector(bg, question, embedder)
+    return _weigh(bg, x, propagate(bg, x))
 
 
 @dataclass(frozen=True)
@@ -169,7 +152,6 @@ def select_topk(wg: WeightedGraph, k_entity: int, k_relation: int) -> Selection:
 def inspect_dump(
     graph: KnowledgeGraph,
     question: str,
-    scorer: EntityScorer,
     embedder: TokenEmbedder,
     k_entity: int,
     k_relation: int,
@@ -178,7 +160,7 @@ def inspect_dump(
     bg = build_bipartite(graph)
     x = feature_vector(bg, question, embedder)
     h = propagate(bg, x)
-    wg = compute_weighted_graph(graph, question, scorer, embedder)
+    wg = _weigh(bg, x, h)
     sel = select_topk(wg, k_entity, k_relation)
     kinds = ["entity"] * bg.n_entities + ["relation"] * bg.n_relations
     pairs = sorted((int(i), int(j)) for i, j in zip(*np.nonzero(bg.adjacency)) if i < j)

@@ -247,6 +247,18 @@ def _dropout_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarra
     return (u >= p).astype(dtype) / dtype.type(1.0 - p)
 
 
+def _embedding_sum(p: dict[str, np.ndarray], cfg: ModelConfig, batch: Batch) -> np.ndarray:
+    """Sum of the token and position tables and the enabled entity, triple and type tables."""
+    x = p["tok_emb"][batch.tok] + p["pos_emb"][batch.pos]
+    if cfg.use_entity_emb:
+        x = x + p["ent_emb"][batch.ent]
+    if cfg.use_triple_emb:
+        x = x + p["tri_emb"][batch.tri]
+    if cfg.use_type_emb:
+        x = x + p["typ_emb"][batch.typ]
+    return x
+
+
 def forward_batch(
     state: ModelState,
     batch: Batch,
@@ -262,15 +274,7 @@ def forward_batch(
     if drop > 0.0 and rng is None:
         raise ValueError("training-mode forward needs an RNG for dropout")
 
-    x = p["tok_emb"][batch.tok] + p["pos_emb"][batch.pos]
-    if cfg.use_entity_emb:
-        x = x + p["ent_emb"][batch.ent]
-    if cfg.use_triple_emb:
-        x = x + p["tri_emb"][batch.tri]
-    if cfg.use_type_emb:
-        x = x + p["typ_emb"][batch.typ]
-
-    h, ln_e_cache = layernorm_fwd(x, p["ln_e.g"], p["ln_e.b"])
+    h, ln_e_cache = layernorm_fwd(_embedding_sum(p, cfg, batch), p["ln_e.g"], p["ln_e.b"])
     emb_drop = None
     if drop > 0.0:
         emb_drop = _dropout_mask(rng, h.shape, drop, np.dtype(dt))
@@ -447,14 +451,7 @@ def embed(seq: InputSequence, state: ModelState) -> np.ndarray:
     batch = _single_batch(seq, AttentionMask(np.zeros((seq.n, seq.n), dtype=np.float32), seq.n), False)
     cfg, p = state.cfg, state.params
     _check_bounds(batch, cfg)
-    x = p["tok_emb"][batch.tok] + p["pos_emb"][batch.pos]
-    if cfg.use_entity_emb:
-        x = x + p["ent_emb"][batch.ent]
-    if cfg.use_triple_emb:
-        x = x + p["tri_emb"][batch.tri]
-    if cfg.use_type_emb:
-        x = x + p["typ_emb"][batch.typ]
-    h, _ = layernorm_fwd(x, p["ln_e.g"], p["ln_e.b"])
+    h, _ = layernorm_fwd(_embedding_sum(p, cfg, batch), p["ln_e.g"], p["ln_e.b"])
     return h[0]
 
 

@@ -182,12 +182,9 @@ def shuffled_order(graph: KnowledgeGraph, rng: np.random.Generator) -> GraphOrde
     return groups
 
 
-def _check_order(graph: KnowledgeGraph, order: GraphOrder, allow_partial: bool = False) -> None:
+def _check_order(graph: KnowledgeGraph, order: GraphOrder) -> None:
     flat = [i for g in order for i in g]
-    if allow_partial:
-        if len(set(flat)) != len(flat) or any(i not in range(len(graph.triples)) for i in flat):
-            raise ValueError("order repeats or references unknown triples")
-    elif sorted(flat) != list(range(len(graph.triples))):
+    if sorted(flat) != list(range(len(graph.triples))):
         raise ValueError("order must cover every triple exactly once")
     for g in order:
         if not g:
@@ -197,9 +194,7 @@ def _check_order(graph: KnowledgeGraph, order: GraphOrder, allow_partial: bool =
             raise ValueError("order group mixes triples of different subjects")
 
 
-def linearize_graph(
-    graph: KnowledgeGraph, order: GraphOrder | None = None, _allow_partial: bool = False
-) -> KnowledgeStream:
+def linearize_graph(graph: KnowledgeGraph, order: GraphOrder | None = None) -> KnowledgeStream:
     """Flatten a graph to ``[BOS] ([S] subj ([R] rel [O] obj)+)*``.
 
     ``order`` permutes subject groups and the triples within each group;
@@ -208,7 +203,7 @@ def linearize_graph(
     if order is None:
         order = identity_order(graph)
     else:
-        _check_order(graph, order, _allow_partial)
+        _check_order(graph, order)
 
     tokens: list[str] = [BOS]
     ent: list[int] = [0]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import DatasetSplit, DialogueSample
-from .graph_weights import TokenEmbedder, compute_weighted_graph, default_scorer, select_topk
+from .graph_weights import TokenEmbedder, compute_weighted_graph, select_topk
 from .masking import compose_mask, knowledge_column_mask, unmasked_columns
 from .model import (
     Batch,
@@ -108,8 +108,7 @@ def build_sample_inputs(
         sample_id=sample.id,
     )
     if use_kg_mask and sample.graph.triples:
-        embedder = TokenEmbedder(vocab, state.params["tok_emb"])
-        wg = compute_weighted_graph(sample.graph, sample.question, default_scorer(embedder), embedder)
+        wg = compute_weighted_graph(sample.graph, sample.question, TokenEmbedder(vocab, state.params["tok_emb"]))
         sel = select_topk(wg, k_entity, k_relation)
         cols = knowledge_column_mask(seq, sel, sample.graph)
     else:

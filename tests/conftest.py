@@ -1,8 +1,16 @@
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
+# One BLAS thread, set before NumPy loads. The model's matrices are too small
+# for a second thread to help, and two-thread BLAS in processes that share the
+# CPUs (the concurrent ablation trainings in test_acceptance.py, or a busy
+# host) runs several times slower than one thread.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -38,3 +46,21 @@ def tiny_model(tiny_vocab):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+# Session fixtures in test_acceptance.py that train end-to-end models, ranked
+# by cost: the full system (~12 min on a 2-core box), its evaluation, and the
+# two ablations.
+_TRAINED_FIXTURE_RANK = {"full_system": 1, "full_report": 2, "ablation_no_struct_emb": 3, "ablation_no_mask": 3}
+
+
+def pytest_collection_modifyitems(items):
+    """Run the tests that need trained models after all others, cheapest first.
+
+    Every other test then reports within seconds, and the tests that share the
+    full system run before the ablation trainings start.
+    """
+    def rank(item):
+        return max((_TRAINED_FIXTURE_RANK.get(f, 0) for f in getattr(item, "fixturenames", ())), default=0)
+
+    items.sort(key=rank)

@@ -3,11 +3,15 @@
 The end-to-end criteria train three models on a shared 2000-dialogue
 synthetic corpus (full system plus two ablations), so this module is the
 slow part of the suite; run it with ``pytest tests/test_acceptance.py -v -s``
-to watch per-criterion progress.
+to watch per-criterion progress. The two ablations train at the same time,
+one worker process each.
 """
 
 import dataclasses
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +30,6 @@ from kgdialog.graph_weights import (
     TokenEmbedder,
     build_bipartite,
     compute_weighted_graph,
-    default_scorer,
     feature_vector,
     relation_weights,
     select_topk,
@@ -231,7 +234,7 @@ def test_gradient_check_tiny_model(rng):
                       dropout=0.0, max_entity_ids=8, max_triple_ids=8, max_positions=64)
     state = init_model(cfg, seed=2, dtype=np.float64)
     emb = TokenEmbedder(vocab, np.random.default_rng(0).normal(size=(len(vocab), 8)))
-    sel = select_topk(compute_weighted_graph(graph, "what is s1 ?", default_scorer(emb), emb), 2, 1)
+    sel = select_topk(compute_weighted_graph(graph, "what is s1 ?", emb), 2, 1)
     mask = compose_mask(seq, knowledge_column_mask(seq, sel, graph))
 
     _, grads = backward(state, seq, mask)
@@ -303,13 +306,24 @@ def test_end_to_end_synthetic_task(corpus, full_report):
 
 
 @pytest.fixture(scope="session")
-def ablation_no_struct_emb(corpus):
-    return _train_variant(corpus, use_struct_emb=False)
+def ablations(corpus):
+    """Both ablations, trained in spawned worker processes, two at once where two CPUs are free."""
+    variants = {"no_struct_emb": dict(use_struct_emb=False), "no_mask": dict(use_kg_mask=False)}
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=min(len(variants), cpus), mp_context=ctx) as pool:
+        futures = {name: pool.submit(_train_variant, corpus, **kw) for name, kw in variants.items()}
+        return {name: f.result() for name, f in futures.items()}
 
 
 @pytest.fixture(scope="session")
-def ablation_no_mask(corpus):
-    return _train_variant(corpus, use_kg_mask=False)
+def ablation_no_struct_emb(ablations):
+    return ablations["no_struct_emb"]
+
+
+@pytest.fixture(scope="session")
+def ablation_no_mask(ablations):
+    return ablations["no_mask"]
 
 
 def test_ablation_directionality(corpus, full_report, ablation_no_struct_emb, ablation_no_mask):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -64,3 +67,16 @@ def test_header_readable_without_tensors(state, tmp_path):
     assert header["run_config"]["use_kg_mask"] is False
     names = [n for n, _ in header["tensors"]]
     assert names[0] == "tok_emb" and names[-1] == "ln_f.b"
+
+
+def test_tensors_located_by_length_prefix(state, tmp_path):
+    # a header in any JSON whitespace is valid when its length prefix is right
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, state, "ef" * 32)
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[:4])
+    blob = json.dumps(json.loads(data[4 : 4 + hlen]), indent=1).encode("utf-8")
+    path.write_bytes(struct.pack("<I", len(blob)) + blob + data[4 + hlen :])
+    loaded, _ = load_checkpoint(path)
+    for k in state.params:
+        assert np.array_equal(loaded.params[k], state.params[k])

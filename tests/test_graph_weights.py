@@ -10,8 +10,8 @@ from kgdialog.graph_weights import (
     build_bipartite,
     compute_weighted_graph,
     cosine,
-    default_scorer,
     feature_vector,
+    inspect_dump,
     relation_weights,
     select_topk,
     softmax_map,
@@ -41,13 +41,16 @@ class TestScorer:
         table = np.zeros((len(tokens), len(words)))
         for i, w in enumerate(words):
             table[vocab.token_to_id[w], i] = 1.0
-        scorer = default_scorer(TokenEmbedder(vocab, table))
-        assert scorer.score("find starbucks", "starbucks") > scorer.score("find starbucks", "home")
+        g = build_graph([["starbucks", "near", "home"]])
+        x = feature_vector(build_bipartite(g), "find starbucks", TokenEmbedder(vocab, table))
+        ids = {e.surface: e.id for e in g.entities}
+        assert x[ids["starbucks"]] > x[ids["home"]]
 
     def test_unknown_tokens_zero_with_zero_unk_row(self):
         _, emb = make_embedder(["find", "starbucks"])
-        scorer = default_scorer(emb)
-        assert scorer.score("find starbucks", "completely unseen words") == 0.0
+        g = build_graph([["completely unseen words", "find", "starbucks"]])
+        x = feature_vector(build_bipartite(g), "find starbucks", emb)
+        assert x[g.entities[0].id] == 0.0
 
     def test_cosine_matches_naive_oracle(self, rng):
         for _ in range(20):
@@ -58,13 +61,15 @@ class TestScorer:
     def test_scorer_matches_oracle_on_random_embeddings(self):
         triples = [["alpha", "r1", "beta"], ["gamma", "r1", "delta"], ["alpha", "r2", "beta two"]]
         vocab, emb = make_embedder(words_of(triples) + ["which", "two"])
-        scorer = default_scorer(emb)
-        rows = {t: list(emb.table[vocab.token_to_id[t]]) for t in vocab.id_to_token}
+        g = build_graph(triples)
         question = "which alpha two"
+        x = feature_vector(build_bipartite(g), question, emb)
+        ids = {e.surface: e.id for e in g.entities}
+        rows = {t: list(emb.table[vocab.token_to_id[t]]) for t in vocab.id_to_token}
         from oracles import naive_mean_vector
 
         for surface in ["alpha", "beta two", "delta"]:
-            got = scorer.score(question, surface)
+            got = x[ids[surface]]
             qv = naive_mean_vector(question, rows, 16)
             sv = naive_mean_vector(surface, rows, 16)
             assert abs(got - naive_cosine(qv, sv)) < 1e-12
@@ -75,7 +80,6 @@ class TestBipartite:
         bg = build_bipartite(build_graph([["s", "r", "o"]]))
         assert bg.d_g == 3
         assert int(bg.adjacency.sum()) == 4  # s-r and r-o, symmetric
-        assert bg.relation_mask.tolist() == [0.0, 0.0, 1.0]
 
     def test_shared_subject_shared_relation(self):
         # subject + 2 objects + 1 relation node = 4 nodes, relation degree 3
@@ -152,7 +156,7 @@ class TestWeightedGraph:
     def test_singleton_sums_to_one(self):
         g = build_graph([["s", "r", "o"]])
         vocab, emb = make_embedder(["s", "r", "o", "hi"])
-        wg = compute_weighted_graph(g, "hi", default_scorer(emb), emb)
+        wg = compute_weighted_graph(g, "hi", emb)
         assert wg.relation_weights == {0: pytest.approx(1.0)}
         assert sum(wg.entity_weights.values()) == pytest.approx(1.0)
 
@@ -163,7 +167,7 @@ class TestWeightedGraph:
     def test_empty_graph_empty_maps(self):
         g = build_graph([])
         vocab, emb = make_embedder(["hi"])
-        wg = compute_weighted_graph(g, "hi", default_scorer(emb), emb)
+        wg = compute_weighted_graph(g, "hi", emb)
         assert wg.entity_weights == {} and wg.relation_weights == {}
 
     def test_matches_naive_dense_oracle(self, rng):
@@ -180,7 +184,7 @@ class TestWeightedGraph:
             words = words_of([list(t) for t in triples]) + ["ask", "about"]
             vocab, emb = make_embedder(words, dim=12, seed=trial)
             question = f"ask about s0 rel0"
-            wg = compute_weighted_graph(g, question, default_scorer(emb), emb)
+            wg = compute_weighted_graph(g, question, emb)
 
             rows = {t: list(emb.table[vocab.token_to_id[t]]) for t in vocab.id_to_token}
             ents, rels, ew, rw = naive_graph_pipeline(list(triples), question, rows, 12)
@@ -191,17 +195,28 @@ class TestWeightedGraph:
                 rid = next(r.id for r in g.relations if r.surface == surf)
                 assert abs(wg.relation_weights[rid] - rw[i]) < 1e-9
 
+    def test_inspect_dump_weights_match(self):
+        triples = [["s1", "r1", "o1"], ["s2", "r2", "o2"], ["s1", "r2", "o3"]]
+        vocab, emb = make_embedder(words_of(triples) + ["q"])
+        g = build_graph(triples)
+        wg = compute_weighted_graph(g, "q s1 r2", emb)
+        dump = inspect_dump(g, "q s1 r2", emb, 2, 1)
+        assert dump["entity_weights"] == {str(k): v for k, v in sorted(wg.entity_weights.items())}
+        assert dump["relation_weights"] == {str(k): v for k, v in sorted(wg.relation_weights.items())}
+        sel = select_topk(wg, 2, 1)
+        assert (dump["top_entities"], dump["top_relations"]) == (sorted(sel.top_entities), sorted(sel.top_relations))
+
     def test_triple_order_invariance(self, rng):
         triples = [["s1", "r1", "o1"], ["s2", "r2", "o2"], ["s1", "r2", "o3"]]
         vocab, emb = make_embedder(words_of(triples) + ["q"])
         g1 = build_graph(triples)
-        wg1 = compute_weighted_graph(g1, "q s1", default_scorer(emb), emb)
+        wg1 = compute_weighted_graph(g1, "q s1", emb)
         # same node first-appearance order, shuffled triple list
         reordered = [triples[0], triples[2], triples[1]]
         g2 = build_graph(reordered)
         # first-appearance order of entities changes (o3 before s2's o2), so
         # compare by surface, which must be invariant
-        wg2 = compute_weighted_graph(g2, "q s1", default_scorer(emb), emb)
+        wg2 = compute_weighted_graph(g2, "q s1", emb)
         by_surface1 = {g1.entities[i].surface: w for i, w in wg1.entity_weights.items()}
         by_surface2 = {g2.entities[i].surface: w for i, w in wg2.entity_weights.items()}
         for s in by_surface1:
