@@ -21,10 +21,11 @@ import numpy as np
 from . import corpus, evaluation, graph_weights, masking, training
 from .checkpoint import CheckpointError, VocabMismatchError, load_checkpoint, save_checkpoint
 from .corpus import SchemaError, SynthConfig, ValidationError
-from .model import DecodingParams, ModelConfig, sample_response
+from .model import DecodingParams, ModelConfig, ModelState, sample_response
 from .sequence import (
     AssemblyLimits,
     SequenceTooLongError,
+    Vocabulary,
     assemble_input,
     linearize_graph,
     build_vocab,
@@ -179,12 +180,31 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _fill_from_checkpoint(cfg: RunConfig, args: argparse.Namespace, header: dict, keys: tuple[str, ...]) -> None:
-    """Let the checkpoint's run config fill the ``keys`` not given as flags."""
+# Grounding, assembly and decoding settings that eval, inspect and chat take
+# from the checkpoint's run config unless they are given as flags.
+_CHECKPOINT_KEYS = (
+    "k_entity", "k_relation", "use_kg_mask", "temperature", "top_k", "top_p",
+    "max_response_length", "max_knowledge_tokens", "max_history_tokens",
+    "max_history_turns", "context_limit",
+)
+
+
+def _fill_from_checkpoint(cfg: RunConfig, args: argparse.Namespace, header: dict) -> None:
+    """Let the checkpoint's run config fill the ``_CHECKPOINT_KEYS`` not given as flags."""
     saved = header.get("run_config", {})
-    for key in keys:
+    for key in _CHECKPOINT_KEYS:
         if getattr(args, key, None) is None and key in saved:
             setattr(cfg, key, saved[key])
+
+
+def _load_run(args: argparse.Namespace) -> tuple[Vocabulary, ModelState, RunConfig]:
+    """Vocabulary, checkpoint and the run config resolved against the checkpoint's."""
+    vocab_path = Path(args.vocab) if args.vocab else Path(args.ckpt).parent / "vocab.txt"
+    vocab = load_vocab(vocab_path)
+    state, header = load_checkpoint(args.ckpt, expect_vocab_sha=vocab_sha256(vocab))
+    cfg = resolve_config(args)
+    _fill_from_checkpoint(cfg, args, header)
+    return vocab, state, cfg
 
 
 def _load_graph_file(path: Path) -> corpus.KnowledgeGraph:
@@ -259,16 +279,7 @@ def _eval_once(state, split, vocab, lexicon, cfg: RunConfig, args, k_entity: int
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    vocab_path = Path(args.vocab) if args.vocab else Path(args.ckpt).parent / "vocab.txt"
-    vocab = load_vocab(vocab_path)
-    state, header = load_checkpoint(args.ckpt, expect_vocab_sha=vocab_sha256(vocab))
-
-    cfg = resolve_config(args)
-    _fill_from_checkpoint(cfg, args, header, (
-        "k_entity", "k_relation", "use_kg_mask", "temperature", "top_k", "top_p",
-        "max_response_length", "max_knowledge_tokens", "max_history_tokens",
-        "max_history_turns", "context_limit",
-    ))
+    vocab, state, cfg = _load_run(args)
 
     data = Path(args.data)
     split = corpus.load_dataset(data / f"{args.split}.json", args.split)
@@ -300,11 +311,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    vocab_path = Path(args.vocab) if args.vocab else Path(args.ckpt).parent / "vocab.txt"
-    vocab = load_vocab(vocab_path)
-    state, header = load_checkpoint(args.ckpt, expect_vocab_sha=vocab_sha256(vocab))
-    cfg = resolve_config(args)
-    _fill_from_checkpoint(cfg, args, header, ("k_entity", "k_relation"))
+    vocab, state, cfg = _load_run(args)
 
     graph = _load_graph_file(Path(args.kg))
     question = corpus.normalize_text(args.question)
@@ -323,13 +330,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_chat(args: argparse.Namespace) -> int:
-    vocab_path = Path(args.vocab) if args.vocab else Path(args.ckpt).parent / "vocab.txt"
-    vocab = load_vocab(vocab_path)
-    state, header = load_checkpoint(args.ckpt, expect_vocab_sha=vocab_sha256(vocab))
-    cfg = resolve_config(args)
-    _fill_from_checkpoint(cfg, args, header, (
-        "k_entity", "k_relation", "temperature", "top_k", "top_p", "max_response_length",
-    ))
+    vocab, state, cfg = _load_run(args)
     graph = _load_graph_file(Path(args.kg))
     limits = cfg.limits()
     seed = cfg.decode_seed

@@ -80,9 +80,6 @@ class KnowledgeGraph:
     def entity_surface(self, eid: int) -> str:
         return self.entities[eid].surface
 
-    def relation_surface(self, rid: int) -> str:
-        return self.relations[rid].surface
-
     def triple_surfaces(self, idx: int) -> tuple[str, str, str]:
         t = self.triples[idx]
         return (

@@ -73,6 +73,12 @@ def unmasked_columns(seq: InputSequence) -> np.ndarray:
     return np.zeros(seq.knowledge_end + 1, dtype=np.float32)
 
 
+def causal_key_columns(key_cols: np.ndarray) -> np.ndarray:
+    """(m, m) additive mask whose row i holds ``key_cols[: i + 1]`` and masks every later key."""
+    m = key_cols.shape[0]
+    return np.where(np.tri(m, dtype=bool), key_cols, NEG_INF)
+
+
 def compose_mask(seq: InputSequence, knowledge_cols: np.ndarray, pad_len: int = 0) -> AttentionMask:
     """Combine knowledge key columns with causal and padding masks.
 
@@ -89,9 +95,7 @@ def compose_mask(seq: InputSequence, knowledge_cols: np.ndarray, pad_len: int = 
     cols[n:] = NEG_INF
 
     values = np.full((total, total), NEG_INF, dtype=np.float32)
-    lower = np.tril_indices(n)
-    base = np.broadcast_to(cols[:n], (n, n))
-    values[:n, :n][lower] = base[lower]
+    values[:n, :n] = causal_key_columns(cols[:n])
     if pad_len:
         values[n:, 0] = 0.0
     return AttentionMask(values, n)

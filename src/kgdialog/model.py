@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import NEG_INF, AttentionMask
+from .masking import AttentionMask, causal_key_columns
 from .sequence import InputSequence
 
 
@@ -171,11 +171,14 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Single-head masked attention: softmax(q k^T / sqrt(d_k) + m) v."""
-    dk = q.shape[-1]
-    scores = (q @ k.T) / math.sqrt(dk) + m
-    return softmax_rows(scores) @ v
+def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masked attention softmax(q k^T / sqrt(d_k) + m) v over the last two axes.
+
+    Leading axes (batch, head) broadcast, and so does the additive mask ``m``.
+    Returns (context, probabilities); the backward pass reuses the probabilities.
+    """
+    probs = softmax_rows(q @ np.swapaxes(k, -1, -2) * (1.0 / math.sqrt(q.shape[-1])) + m)
+    return probs @ v, probs
 
 
 # --- batched forward / backward ---------------------------------------------
@@ -282,7 +285,6 @@ def forward_batch(
 
     bsz, n = batch.shape
     add_mask = batch.mask.astype(dt)[:, None, :, :]  # broadcast over heads
-    scale = 1.0 / math.sqrt(dh)
     layers = []
     for i in range(cfg.n_layers):
         pre = f"h{i}."
@@ -290,9 +292,8 @@ def forward_batch(
         q = (a_in @ p[pre + "attn.wq"] + p[pre + "attn.bq"]).reshape(bsz, n, nh, dh).transpose(0, 2, 1, 3)
         k = (a_in @ p[pre + "attn.wk"] + p[pre + "attn.bk"]).reshape(bsz, n, nh, dh).transpose(0, 2, 1, 3)
         v = (a_in @ p[pre + "attn.wv"] + p[pre + "attn.bv"]).reshape(bsz, n, nh, dh).transpose(0, 2, 1, 3)
-        scores = q @ k.transpose(0, 1, 3, 2) * scale + add_mask
-        probs = softmax_rows(scores)
-        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(bsz, n, cfg.d_model)
+        ctx, probs = attention(q, k, v, add_mask)
+        ctx = ctx.transpose(0, 2, 1, 3).reshape(bsz, n, cfg.d_model)
         attn_out = ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
         attn_drop = None
         if drop > 0.0:
@@ -442,13 +443,9 @@ def loss_batch(logits: np.ndarray, targets: np.ndarray):
 # --- single-sequence contract surface ---------------------------------------
 
 
-def _single_batch(seq: InputSequence, mask: AttentionMask, with_targets: bool) -> Batch:
-    return pack_batch([seq], [mask], with_targets)
-
-
 def embed(seq: InputSequence, state: ModelState) -> np.ndarray:
     """Layer-normalized sum of the five embedding streams, (n, d_model)."""
-    batch = _single_batch(seq, AttentionMask(np.zeros((seq.n, seq.n), dtype=np.float32), seq.n), False)
+    batch = pack_batch([seq], [AttentionMask(np.zeros((seq.n, seq.n), dtype=np.float32), seq.n)], False)
     cfg, p = state.cfg, state.params
     _check_bounds(batch, cfg)
     h, _ = layernorm_fwd(_embedding_sum(p, cfg, batch), p["ln_e.g"], p["ln_e.b"])
@@ -457,7 +454,7 @@ def embed(seq: InputSequence, state: ModelState) -> np.ndarray:
 
 def forward(seq: InputSequence, mask: AttentionMask, state: ModelState) -> np.ndarray:
     """Deterministic eval-mode forward for one sequence, (n, vocab) logits."""
-    logits, _ = forward_batch(state, _single_batch(seq, mask, False))
+    logits, _ = forward_batch(state, pack_batch([seq], [mask], False))
     return logits[0]
 
 
@@ -473,7 +470,7 @@ def loss(logits: np.ndarray, seq: InputSequence):
 
 def backward(state: ModelState, seq: InputSequence, mask: AttentionMask):
     """Loss and analytic gradients for one training sequence (eval-mode graph)."""
-    batch = _single_batch(seq, mask, True)
+    batch = pack_batch([seq], [mask], True)
     logits, cache = forward_batch(state, batch)
     value, dlogits = loss_batch(logits, batch.targets)
     return value, backward_batch(state, cache, dlogits)
@@ -510,22 +507,6 @@ def sample_next(logits: np.ndarray, params: DecodingParams, rng: np.random.Gener
     return int(order[np.searchsorted(np.cumsum(kept), rng.random(), side="right")])
 
 
-def extend_sequence(seq: InputSequence, token_id: int, type_id: int) -> InputSequence:
-    n = seq.n
-    return InputSequence(
-        token_ids=np.append(seq.token_ids, token_id),
-        position_ids=np.append(seq.position_ids, n),
-        entity_ids=np.append(seq.entity_ids, 0),
-        triple_ids=np.append(seq.triple_ids, 0),
-        type_ids=np.append(seq.type_ids, type_id),
-        knowledge_end=seq.knowledge_end,
-        question_start=seq.question_start,
-        response_start=seq.response_start,
-        triple_spans=seq.triple_spans,
-        triple_sources=seq.triple_sources,
-    )
-
-
 def sample_response(
     state: ModelState,
     seq: InputSequence,
@@ -534,35 +515,50 @@ def sample_response(
     eos_id: int,
     type_system: int = 2,
 ) -> list[int]:
-    """Autoregressive sampling from a context sequence (no KV cache).
+    """Autoregressive sampling from a context sequence, without a KV cache.
 
-    Appended tokens carry entity/triple id 0 and SYSTEM type; the knowledge
-    key columns are kept unchanged while the causal mask grows. Returns the
-    generated ids without the terminating [EOS].
+    The context and every position the response may take are packed once
+    into one batch of length ``seq.n + max_response_length``; each step runs
+    ``forward_batch`` over the prefix decoded so far and writes the sampled
+    id into the token row. Appended positions carry entity/triple id 0 and
+    SYSTEM type. The key columns of the last context row of ``mask`` apply to
+    every step under causality. Returns the generated ids without the
+    terminating [EOS].
     """
-    if seq.n + params.max_response_length > state.cfg.max_positions:
+    n0 = seq.n
+    total = n0 + params.max_response_length
+    if total > state.cfg.max_positions:
         raise ValueError("context too long for max_response_length")
     rng = np.random.default_rng(params.seed)
 
-    total = seq.n + params.max_response_length
     cols = np.zeros(total, dtype=np.float32)
-    cols[: seq.n] = mask.values[seq.n - 1, : seq.n]  # last context row holds the key-column pattern
-    full = np.full((total, total), NEG_INF, dtype=np.float32)
-    idx = np.tril_indices(total)
-    full[idx] = np.broadcast_to(cols, (total, total))[idx]
+    cols[:n0] = mask.values[n0 - 1, :n0]  # last context row holds the key-column pattern
+
+    def stream(ids: np.ndarray, fill: int) -> np.ndarray:
+        row = np.full((1, total), fill, dtype=np.int64)
+        row[0, :n0] = ids
+        return row
+
+    packed = Batch(
+        tok=stream(seq.token_ids, 0),
+        pos=np.arange(total, dtype=np.int64)[None, :],
+        ent=stream(seq.entity_ids, 0),
+        tri=stream(seq.triple_ids, 0),
+        typ=stream(seq.type_ids, type_system),
+        mask=causal_key_columns(cols)[None, :, :],
+    )
 
     out: list[int] = []
-    cur = seq
-    for _ in range(params.max_response_length):
-        n = cur.n
-        logits, _ = forward_batch(state, _single_batch(cur, AttentionMask(full[:n, :n], n), False))
+    for n in range(n0, total):
+        prefix = Batch(
+            packed.tok[:, :n], packed.pos[:, :n], packed.ent[:, :n], packed.tri[:, :n], packed.typ[:, :n],
+            packed.mask[:, :n, :n],
+        )
+        # only the logits: a bound cache would keep this step's activations alive into the next
+        logits = forward_batch(state, prefix)[0]
         tok = sample_next(logits[0, n - 1], params, rng)
         if tok == eos_id:
             break
         out.append(tok)
-        cur = extend_sequence(cur, tok, type_system)
+        packed.tok[0, n] = tok
     return out
-
-
-def count_params(state: ModelState) -> int:
-    return sum(int(np.prod(v.shape)) for v in state.params.values())

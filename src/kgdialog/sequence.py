@@ -55,32 +55,8 @@ class Vocabulary:
         return 0
 
     @property
-    def bos_id(self) -> int:
-        return self.token_to_id[BOS]
-
-    @property
     def eos_id(self) -> int:
         return self.token_to_id[EOS]
-
-    @property
-    def sep_id(self) -> int:
-        return self.token_to_id[SEP]
-
-    @property
-    def q_id(self) -> int:
-        return self.token_to_id[Q_TOK]
-
-    @property
-    def s_id(self) -> int:
-        return self.token_to_id[S_TOK]
-
-    @property
-    def r_id(self) -> int:
-        return self.token_to_id[R_TOK]
-
-    @property
-    def o_id(self) -> int:
-        return self.token_to_id[O_TOK]
 
     @property
     def unk_id(self) -> int:

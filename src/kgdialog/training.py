@@ -206,16 +206,11 @@ def train(
                 for k in accum:
                     accum[k] += grads[k]
             accum_count += 1
-            if accum_count == cfg.grad_accum_steps:
+            if accum_count == cfg.grad_accum_steps or start + cfg.batch_size >= len(order):
                 for k in accum:
                     accum[k] /= accum_count
                 adamw_step(state, accum, cfg)
                 accum, accum_count = None, 0
-
-        if accum is not None:
-            for k in accum:
-                accum[k] /= accum_count
-            adamw_step(state, accum, cfg)
 
         train_loss = epoch_loss / epoch_n
         valid_loss = dataset_loss(valid_split, vocab, state, cfg) if valid_split else float("nan")

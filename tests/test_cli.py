@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -176,6 +177,32 @@ class TestInspect:
         doc = json.loads(capsys.readouterr().out)
         assert "mask" in doc and len(doc["mask"]["triples"]) == 2
         assert {t["selected"] for t in doc["mask"]["triples"]} <= {True, False}
+
+    def test_dump_mask_uses_checkpoint_knowledge_budget(self, tmp_path, capsys):
+        from kgdialog.checkpoint import save_checkpoint
+        from kgdialog.cli import RunConfig
+        from kgdialog.model import init_model
+        from kgdialog.sequence import save_vocab, vocab_sha256
+        from test_sequence import vocab_over
+
+        triples = [["starbucks", "distance", "4 miles"], ["peets", "distance", "8 miles"],
+                   ["philz", "distance", "2 miles"]]
+        vocab = vocab_over("starbucks peets philz distance 2 4 8 miles how far is ?")
+        # [BOS] [S] starbucks [R] distance [O] 4 miles fills 8 of the 10 knowledge tokens
+        cfg = RunConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_entity_ids=8, max_triple_ids=8,
+                        max_knowledge_tokens=10)
+        save_vocab(vocab, tmp_path / "vocab.txt")
+        save_checkpoint(tmp_path / "model.ckpt", init_model(cfg.model_config(len(vocab)), seed=0),
+                        vocab_sha256(vocab), dataclasses.asdict(cfg))
+        kg = tmp_path / "kg.json"
+        kg.write_text(json.dumps({"triples": triples}))
+        rc = main([
+            "inspect", "--ckpt", str(tmp_path / "model.ckpt"), "--kg", str(kg),
+            "--question", "how far is starbucks ?", "--dump-mask",
+        ])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [t["surfaces"] for t in doc["mask"]["triples"]] == [["starbucks", "distance", "4 miles"]]
 
     def test_bad_kg_file_exit_2(self, run_dir, tmp_path):
         kg = tmp_path / "bad.json"

@@ -14,7 +14,6 @@ from kgdialog.model import (
     backward,
     cast_state,
     embed,
-    extend_sequence,
     forward,
     forward_batch,
     init_model,
@@ -25,7 +24,7 @@ from kgdialog.model import (
     sample_response,
     softmax_rows,
 )
-from kgdialog.sequence import AssemblyLimits, assemble_input, linearize_graph
+from kgdialog.sequence import TYPE_SYSTEM, AssemblyLimits, assemble_input, linearize_graph
 from test_sequence import vocab_over
 
 from oracles import finite_diff_grads, naive_attention, naive_response_nll
@@ -106,7 +105,7 @@ class TestAttention:
         q, k, v = (rng.normal(size=(n, dk)) for _ in range(3))
         m = np.full((n, n), NEG_INF, dtype=np.float64)
         m[:, 0] = 0.0
-        out = attention(q, k, v, m)
+        out, _ = attention(q, k, v, m)
         for i in range(n):
             np.testing.assert_allclose(out[i], v[0], atol=1e-12)
 
@@ -116,14 +115,26 @@ class TestAttention:
         q = np.zeros((n, dk))
         m = np.zeros((n, n))
         m[:, 3:] = NEG_INF
-        out = attention(q, k, v, m)
+        out, _ = attention(q, k, v, m)
         np.testing.assert_allclose(out, np.broadcast_to(v[:3].mean(0), (n, dk)), atol=1e-12)
 
     def test_matches_naive_loop_oracle(self, rng):
         q, k, v = (rng.normal(size=(3, 4)) for _ in range(3))
         m = np.where(rng.random((3, 3)) < 0.3, NEG_INF, 0.0).astype(np.float64)
         m[:, 0] = 0.0
-        np.testing.assert_allclose(attention(q, k, v, m), naive_attention(q, k, v, m), atol=1e-10)
+        ctx, _ = attention(q, k, v, m)
+        np.testing.assert_allclose(ctx, naive_attention(q, k, v, m), atol=1e-10)
+
+        # batched (B, H, n, d) input with one mask per sample, broadcast over heads
+        b, h, n, d = 2, 3, 5, 4
+        q, k, v = (rng.normal(size=(b, h, n, d)) for _ in range(3))
+        m = np.where(rng.random((b, 1, n, n)) < 0.3, NEG_INF, 0.0).astype(np.float64)
+        m[..., 0] = 0.0
+        ctx, _ = attention(q, k, v, m)
+        assert ctx.shape == (b, h, n, d)
+        for i in range(b):
+            for j in range(h):
+                np.testing.assert_allclose(ctx[i, j], naive_attention(q[i, j], k[i, j], v[i, j], m[i, 0]), atol=1e-10)
 
 
 class TestForward:
@@ -340,12 +351,36 @@ class TestSampling:
         b = sample_response(state, seq, mask, params, VOCAB.eos_id)
         assert a == b
 
-    def test_appended_streams_and_mask_extension(self):
+    def test_greedy_matches_full_prefix_reference(self):
         seq = make_seq(gold=None)
-        ext = extend_sequence(seq, 12, 2)
-        assert ext.n == seq.n + 1
-        assert ext.entity_ids[-1] == 0 and ext.triple_ids[-1] == 0 and ext.type_ids[-1] == 2
-        assert ext.position_ids[-1] == seq.n
+        state = init_model(make_model().cfg, seed=2)
+        for name, arr in state.params.items():  # larger weights, so the decode varies and the mask matters
+            if name.endswith(("emb", ".wq", ".wk", ".wv", ".wo", ".w1", ".w2")):
+                arr *= 25.0
+        # triple 2 (s1, r2, o2) is masked, so its key columns stay hidden at every step
+        cols = knowledge_column_mask(seq, Selection(frozenset({0, 1}), frozenset({0}), 7, 7), GRAPH)
+        assert (cols == NEG_INF).any()
+        params = DecodingParams(top_k=1, max_response_length=6)
+        got = sample_response(state, seq, compose_mask(seq, cols), params, VOCAB.eos_id)
+        assert len(set(got)) > 1
+        assert got != sample_response(state, seq, full_mask(seq), params, VOCAB.eos_id)
+
+        want: list[int] = []
+        ext = seq
+        for _ in range(params.max_response_length):
+            tok = int(np.argmax(forward(ext, compose_mask(ext, cols), state)[-1]))
+            if tok == VOCAB.eos_id:
+                break
+            want.append(tok)
+            ext = dataclasses.replace(
+                ext,
+                token_ids=np.append(ext.token_ids, tok),
+                position_ids=np.append(ext.position_ids, ext.n),
+                entity_ids=np.append(ext.entity_ids, 0),
+                triple_ids=np.append(ext.triple_ids, 0),
+                type_ids=np.append(ext.type_ids, TYPE_SYSTEM),
+            )
+        assert got == want
 
     def test_respects_max_response_length(self):
         seq = make_seq(gold=None)
