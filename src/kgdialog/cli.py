@@ -155,8 +155,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                                 help=f"default: {f.default}")
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+def resolve_config(args: argparse.Namespace, base: dict | None = None) -> RunConfig:
+    """Defaults, then ``base``, then the config file, then ablations, then flags; later wins."""
+    cfg = RunConfig(**(base or {}))
     names = {f.name for f in dataclasses.fields(RunConfig)}
     path = args.config or (Path(os.environ[ENV_CONFIG]) if os.environ.get(ENV_CONFIG) else None)
     if path is not None:
@@ -181,7 +182,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 # Grounding, assembly and decoding settings that eval, inspect and chat take
-# from the checkpoint's run config unless they are given as flags.
+# from the checkpoint's run config, below a config file, ablations and flags.
 _CHECKPOINT_KEYS = (
     "k_entity", "k_relation", "use_kg_mask", "temperature", "top_k", "top_p",
     "max_response_length", "max_knowledge_tokens", "max_history_tokens",
@@ -189,21 +190,13 @@ _CHECKPOINT_KEYS = (
 )
 
 
-def _fill_from_checkpoint(cfg: RunConfig, args: argparse.Namespace, header: dict) -> None:
-    """Let the checkpoint's run config fill the ``_CHECKPOINT_KEYS`` not given as flags."""
-    saved = header.get("run_config", {})
-    for key in _CHECKPOINT_KEYS:
-        if getattr(args, key, None) is None and key in saved:
-            setattr(cfg, key, saved[key])
-
-
 def _load_run(args: argparse.Namespace) -> tuple[Vocabulary, ModelState, RunConfig]:
-    """Vocabulary, checkpoint and the run config resolved against the checkpoint's."""
+    """Vocabulary, checkpoint and the run config resolved over the checkpoint's."""
     vocab_path = Path(args.vocab) if args.vocab else Path(args.ckpt).parent / "vocab.txt"
     vocab = load_vocab(vocab_path)
     state, header = load_checkpoint(args.ckpt, expect_vocab_sha=vocab_sha256(vocab))
-    cfg = resolve_config(args)
-    _fill_from_checkpoint(cfg, args, header)
+    saved = header.get("run_config", {})
+    cfg = resolve_config(args, {key: saved[key] for key in _CHECKPOINT_KEYS if key in saved})
     return vocab, state, cfg
 
 

@@ -5,7 +5,8 @@ are summed and layer-normalized, then fed through pre-norm residual blocks
 with masked multi-head attention and a GELU feed-forward. The output head is
 tied to the token table. Forward caches every intermediate needed by the
 hand-written backward pass, which is validated against central finite
-differences in the test suite.
+differences in the test suite. Decoding prefills a per-call ``KVCache`` with
+the context's keys and values, then computes one new row per step.
 """
 
 from __future__ import annotations
@@ -245,6 +246,24 @@ def _check_bounds(batch: Batch, cfg: ModelConfig) -> None:
             raise IndexError(f"{name} stream index out of range: [{lo}, {hi}] vs table size {bound}")
 
 
+@dataclass
+class KVCache:
+    """Per-layer attention keys and values of rows ``[:length]`` of one decode.
+
+    ``k`` and ``v`` are (n_layers, 1, n_heads, capacity, d_head). A cache
+    belongs to one ``sample_response`` call; nothing is shared between calls.
+    """
+
+    k: np.ndarray
+    v: np.ndarray
+    length: int = 0
+
+    @classmethod
+    def empty(cls, cfg: ModelConfig, capacity: int, dtype) -> "KVCache":
+        shape = (cfg.n_layers, 1, cfg.n_heads, capacity, cfg.d_head)
+        return cls(np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
+
+
 def _dropout_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
     u = rng.random(shape, dtype=np.float32 if dtype == np.float32 else np.float64)
     return (u >= p).astype(dtype) / dtype.type(1.0 - p)
@@ -267,9 +286,29 @@ def forward_batch(
     batch: Batch,
     train: bool = False,
     rng: np.random.Generator | None = None,
+    kv: KVCache | None = None,
 ):
-    """Run the transformer; returns (logits, cache) with cache for backward."""
+    """Run the transformer; returns (logits, cache) with cache for backward.
+
+    With a ``kv`` cache holding the keys and values of rows ``[:kv.length]``,
+    only rows ``[kv.length:n]`` of ``batch`` are computed: their keys and
+    values are written into the cache, they attend to keys ``[:n]``, and the
+    logits returned are theirs alone. The cache then covers ``[:n]``. Cached
+    calls are eval-mode only and return no backward cache (None).
+    """
     cfg, p = state.cfg, state.params
+    bsz, n = batch.shape
+    start = 0
+    if kv is not None:
+        if train:
+            raise ValueError("a KV cache serves eval-mode forward passes only")
+        start = kv.length
+        if kv.k.shape[1] != bsz or not start < n <= kv.k.shape[3]:
+            raise ValueError(f"batch of {bsz} x {n} does not extend a KV cache of {kv.k.shape[1]} x {start}")
+        batch = Batch(  # the new rows, with their mask rows over all n keys
+            batch.tok[:, start:], batch.pos[:, start:], batch.ent[:, start:], batch.tri[:, start:],
+            batch.typ[:, start:], batch.mask[:, start:, :],
+        )
     _check_bounds(batch, cfg)
     dt = state.dtype
     nh, dh = cfg.n_heads, cfg.d_head
@@ -283,17 +322,21 @@ def forward_batch(
         emb_drop = _dropout_mask(rng, h.shape, drop, np.dtype(dt))
         h = h * emb_drop
 
-    bsz, n = batch.shape
+    rows = n - start
     add_mask = batch.mask.astype(dt)[:, None, :, :]  # broadcast over heads
     layers = []
     for i in range(cfg.n_layers):
         pre = f"h{i}."
         a_in, ln1_cache = layernorm_fwd(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        q = (a_in @ p[pre + "attn.wq"] + p[pre + "attn.bq"]).reshape(bsz, n, nh, dh).transpose(0, 2, 1, 3)
-        k = (a_in @ p[pre + "attn.wk"] + p[pre + "attn.bk"]).reshape(bsz, n, nh, dh).transpose(0, 2, 1, 3)
-        v = (a_in @ p[pre + "attn.wv"] + p[pre + "attn.bv"]).reshape(bsz, n, nh, dh).transpose(0, 2, 1, 3)
+        q = (a_in @ p[pre + "attn.wq"] + p[pre + "attn.bq"]).reshape(bsz, rows, nh, dh).transpose(0, 2, 1, 3)
+        k = (a_in @ p[pre + "attn.wk"] + p[pre + "attn.bk"]).reshape(bsz, rows, nh, dh).transpose(0, 2, 1, 3)
+        v = (a_in @ p[pre + "attn.wv"] + p[pre + "attn.bv"]).reshape(bsz, rows, nh, dh).transpose(0, 2, 1, 3)
+        if kv is not None:
+            kv.k[i, :, :, start:n] = k
+            kv.v[i, :, :, start:n] = v
+            k, v = kv.k[i, :, :, :n], kv.v[i, :, :, :n]
         ctx, probs = attention(q, k, v, add_mask)
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(bsz, n, cfg.d_model)
+        ctx = ctx.transpose(0, 2, 1, 3).reshape(bsz, rows, cfg.d_model)
         attn_out = ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
         attn_drop = None
         if drop > 0.0:
@@ -311,19 +354,23 @@ def forward_batch(
             f_out = f_out * ff_drop
         h_next = h_mid + f_out
 
-        layers.append(
-            dict(
-                a_in=a_in, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, ctx=ctx,
-                attn_drop=attn_drop, h_in=h, f_in=f_in, ln2=ln2_cache, z1=z1, a1=a1,
-                tanh1=tanh1, ff_drop=ff_drop, h_mid=h_mid,
+        if kv is None:
+            layers.append(
+                dict(
+                    a_in=a_in, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, ctx=ctx,
+                    attn_drop=attn_drop, h_in=h, f_in=f_in, ln2=ln2_cache, z1=z1, a1=a1,
+                    tanh1=tanh1, ff_drop=ff_drop, h_mid=h_mid,
+                )
             )
-        )
         h = h_next
 
     hf, ln_f_cache = layernorm_fwd(h, p["ln_f.g"], p["ln_f.b"])
     logits = hf @ p["tok_emb"].T
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
+    if kv is not None:
+        kv.length = n
+        return logits, None
 
     cache = dict(batch=batch, emb_drop=emb_drop, ln_e=ln_e_cache, layers=layers, hf=hf, ln_f=ln_f_cache)
     return logits, cache
@@ -515,15 +562,17 @@ def sample_response(
     eos_id: int,
     type_system: int = 2,
 ) -> list[int]:
-    """Autoregressive sampling from a context sequence, without a KV cache.
+    """Autoregressive sampling from a context sequence with a per-call KV cache.
 
     The context and every position the response may take are packed once
-    into one batch of length ``seq.n + max_response_length``; each step runs
-    ``forward_batch`` over the prefix decoded so far and writes the sampled
-    id into the token row. Appended positions carry entity/triple id 0 and
-    SYSTEM type. The key columns of the last context row of ``mask`` apply to
-    every step under causality. Returns the generated ids without the
-    terminating [EOS].
+    into one batch of length ``seq.n + max_response_length``; each step calls
+    ``forward_batch`` on the prefix decoded so far and writes the sampled id
+    into the token row. The first call prefills the cache with the context's
+    keys and values; every later call computes only the one new row against
+    the cached keys. Appended positions carry entity/triple id 0 and SYSTEM
+    type. The key columns of the last context row of ``mask`` apply to every
+    step under causality. Returns the generated ids without the terminating
+    [EOS].
     """
     n0 = seq.n
     total = n0 + params.max_response_length
@@ -548,15 +597,15 @@ def sample_response(
         mask=causal_key_columns(cols)[None, :, :],
     )
 
+    kv = KVCache.empty(state.cfg, total, state.dtype)
     out: list[int] = []
     for n in range(n0, total):
         prefix = Batch(
             packed.tok[:, :n], packed.pos[:, :n], packed.ent[:, :n], packed.tri[:, :n], packed.typ[:, :n],
             packed.mask[:, :n, :n],
         )
-        # only the logits: a bound cache would keep this step's activations alive into the next
-        logits = forward_batch(state, prefix)[0]
-        tok = sample_next(logits[0, n - 1], params, rng)
+        logits, _ = forward_batch(state, prefix, kv=kv)
+        tok = sample_next(logits[0, -1], params, rng)
         if tok == eos_id:
             break
         out.append(tok)

@@ -114,6 +114,28 @@ class TestEval:
         doc = json.loads(report.read_text())
         assert doc["config"]["k_entity"] == 2  # stored at train time
 
+    def test_ablation_and_config_file_override_checkpoint(self, tmp_path):
+        from kgdialog.checkpoint import save_checkpoint
+        from kgdialog.cli import RunConfig, _load_run, build_parser
+        from kgdialog.model import init_model
+        from kgdialog.sequence import save_vocab, vocab_sha256
+        from test_sequence import vocab_over
+
+        vocab = vocab_over("a b c")
+        cfg = RunConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, use_kg_mask=True, k_entity=3, top_k=4)
+        save_vocab(vocab, tmp_path / "vocab.txt")
+        save_checkpoint(tmp_path / "model.ckpt", init_model(cfg.model_config(len(vocab)), seed=0),
+                        vocab_sha256(vocab), dataclasses.asdict(cfg))
+        (tmp_path / "cfg.json").write_text(json.dumps({"k_entity": 5}))
+        args = build_parser().parse_args([
+            "eval", "--ckpt", str(tmp_path / "model.ckpt"), "--data", str(tmp_path), "--report", "r.json",
+            "--ablation", "no-kg-mask", "--config", str(tmp_path / "cfg.json"),
+        ])
+        _, _, resolved = _load_run(args)
+        assert resolved.use_kg_mask is False  # ablation over checkpoint
+        assert resolved.k_entity == 5  # config file over checkpoint
+        assert resolved.top_k == 4  # checkpoint over default
+
     def test_grid_mode_writes_report_per_pair(self, data_dir, run_dir, tmp_path):
         report = tmp_path / "grid.json"
         rc = main([

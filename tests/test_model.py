@@ -8,7 +8,9 @@ from kgdialog.corpus import build_graph
 from kgdialog.graph_weights import Selection
 from kgdialog.masking import NEG_INF, compose_mask, knowledge_column_mask, unmasked_columns
 from kgdialog.model import (
+    Batch,
     DecodingParams,
+    KVCache,
     ModelConfig,
     attention,
     backward,
@@ -49,6 +51,22 @@ def make_model(**overrides):
 
 def full_mask(seq):
     return compose_mask(seq, unmasked_columns(seq))
+
+
+def scaled_model(**overrides):
+    """Seed-2 model with larger weights, so greedy decodes vary and the knowledge mask matters."""
+    state = init_model(make_model(**overrides).cfg, seed=2)
+    for name, arr in state.params.items():
+        if name.endswith(("emb", ".wq", ".wk", ".wv", ".wo", ".w1", ".w2")):
+            arr *= 25.0
+    return state
+
+
+def masked_triple_columns(seq):
+    """Key columns under a selection that hides triple 2 (s1, r2, o2)."""
+    cols = knowledge_column_mask(seq, Selection(frozenset({0, 1}), frozenset({0}), 7, 7), GRAPH)
+    assert (cols == NEG_INF).any()
+    return cols
 
 
 class TestEmbed:
@@ -353,17 +371,14 @@ class TestSampling:
 
     def test_greedy_matches_full_prefix_reference(self):
         seq = make_seq(gold=None)
-        state = init_model(make_model().cfg, seed=2)
-        for name, arr in state.params.items():  # larger weights, so the decode varies and the mask matters
-            if name.endswith(("emb", ".wq", ".wk", ".wv", ".wo", ".w1", ".w2")):
-                arr *= 25.0
-        # triple 2 (s1, r2, o2) is masked, so its key columns stay hidden at every step
-        cols = knowledge_column_mask(seq, Selection(frozenset({0, 1}), frozenset({0}), 7, 7), GRAPH)
-        assert (cols == NEG_INF).any()
+        state = scaled_model()
+        cols = masked_triple_columns(seq)  # hidden at every step
         params = DecodingParams(top_k=1, max_response_length=6)
         got = sample_response(state, seq, compose_mask(seq, cols), params, VOCAB.eos_id)
         assert len(set(got)) > 1
         assert got != sample_response(state, seq, full_mask(seq), params, VOCAB.eos_id)
+        # no cache state carries over from the unmasked call
+        assert sample_response(state, seq, compose_mask(seq, cols), params, VOCAB.eos_id) == got
 
         want: list[int] = []
         ext = seq
@@ -388,6 +403,42 @@ class TestSampling:
         params = DecodingParams(temperature=1.0, top_k=3, top_p=1.0, max_response_length=4, seed=1)
         out = sample_response(state, seq, full_mask(seq), params, VOCAB.eos_id)
         assert len(out) <= 4
+
+
+class TestKVCache:
+    def test_cached_rows_match_full_prefix_forward(self):
+        seq = make_seq()
+        state = scaled_model(n_layers=2)
+        mask = compose_mask(seq, masked_triple_columns(seq))
+        full = forward(seq, mask, state)
+        packed = pack_batch([seq], [mask], False)
+        kv = KVCache.empty(state.cfg, seq.n, state.dtype)
+        # prefill, two single-row steps, then one 3-row chunk
+        for n in (seq.n - 5, seq.n - 4, seq.n - 3, seq.n):
+            prefix = Batch(
+                packed.tok[:, :n], packed.pos[:, :n], packed.ent[:, :n], packed.tri[:, :n], packed.typ[:, :n],
+                packed.mask[:, :n, :n],
+            )
+            start = kv.length
+            logits, cache = forward_batch(state, prefix, kv=kv)
+            assert cache is None and kv.length == n
+            assert logits.shape == (1, n - start, len(VOCAB))
+            # float32 sums run in another order over fewer rows; a logit near zero is judged
+            # against its row's scale rather than its own
+            want = full[start:n]
+            np.testing.assert_allclose(logits[0], want, rtol=1e-5, atol=1e-5 * float(np.abs(want).max()))
+
+    def test_train_mode_and_stale_batches_refused(self):
+        seq = make_seq()
+        state = make_model()
+        batch = pack_batch([seq], [full_mask(seq)], False)
+        kv = KVCache.empty(state.cfg, seq.n, state.dtype)
+        with pytest.raises(ValueError):
+            forward_batch(state, batch, train=True, rng=np.random.default_rng(0), kv=kv)
+        assert kv.length == 0
+        forward_batch(state, batch, kv=kv)
+        with pytest.raises(ValueError):  # holds no row past the cache
+            forward_batch(state, batch, kv=kv)
 
 
 class TestAblationEquivalence:
