@@ -353,21 +353,21 @@ def cmd_chat(args: argparse.Namespace) -> int:
         question = corpus.normalize_text(line)
         if not question:
             continue
+        params = dataclasses.replace(
+            cfg.decoding(), seed=int(np.random.SeedSequence([seed, turn_index]).generate_state(1)[0])
+        )
         try:
             seq, cols = training.build_sample_inputs(
                 _chat_sample(graph, history, question), vocab, state,
                 cfg.k_entity, cfg.k_relation, cfg.use_kg_mask, limits, with_gold=False,
             )
+            ids = sample_response(state, seq, masking.compose_mask(seq, cols), params, vocab.eos_id)
         except SequenceTooLongError as e:
             print(f"input rejected: {e}", file=sys.stderr)
             continue
         if len(history) > limits.max_history_turns:
             dropped = len(history) - limits.max_history_turns
             print(f"(history budget: dropped {dropped} oldest turn{'s' if dropped != 1 else ''})", file=sys.stderr)
-        params = dataclasses.replace(
-            cfg.decoding(), seed=int(np.random.SeedSequence([seed, turn_index]).generate_state(1)[0])
-        )
-        ids = sample_response(state, seq, masking.compose_mask(seq, cols), params, vocab.eos_id)
         response = " ".join(vocab.decode(ids))
         print(response)
         history.append(corpus.DialogueTurn(corpus.USER, question))

@@ -6,7 +6,8 @@ with masked multi-head attention and a GELU feed-forward. The output head is
 tied to the token table. Forward caches every intermediate needed by the
 hand-written backward pass, which is validated against central finite
 differences in the test suite. Decoding prefills a per-call ``KVCache`` with
-the context's keys and values, then computes one new row per step.
+the keys and values of the context positions the knowledge mask leaves
+visible, then computes one new row per step.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import AttentionMask, causal_key_columns
-from .sequence import InputSequence
+from .masking import NEG_INF, AttentionMask, causal_key_columns
+from .sequence import InputSequence, SequenceTooLongError
 
 
 @dataclass(frozen=True)
@@ -252,6 +253,8 @@ class KVCache:
 
     ``k`` and ``v`` are (n_layers, 1, n_heads, capacity, d_head). A cache
     belongs to one ``sample_response`` call; nothing is shared between calls.
+    ``length`` may start past rows that are never computed: their buffers
+    stay zero, and the mask keeps their key columns at ``NEG_INF``.
     """
 
     k: np.ndarray
@@ -567,30 +570,43 @@ def sample_response(
     The context and every position the response may take are packed once
     into one batch of length ``seq.n + max_response_length``; each step calls
     ``forward_batch`` on the prefix decoded so far and writes the sampled id
-    into the token row. The first call prefills the cache with the context's
-    keys and values; every later call computes only the one new row against
-    the cached keys. Appended positions carry entity/triple id 0 and SYSTEM
-    type. The key columns of the last context row of ``mask`` apply to every
-    step under causality. Returns the generated ids without the terminating
-    [EOS].
+    into the token row. The key columns of the last context row of ``mask``
+    apply to every step under causality, so a context key they hide is read
+    by no query. Those hidden rows are packed first, each keeping its
+    position id, and the cache starts past them: decoding computes only the
+    context positions the knowledge mask leaves visible (the last context
+    row, whose logits pick the first token, always among them). The first
+    call prefills the cache with the visible rows' keys and values; every
+    later call computes only the one new row against the cached keys.
+    Appended positions carry entity/triple id 0 and SYSTEM type. Returns the
+    generated ids without the terminating [EOS].
     """
     n0 = seq.n
     total = n0 + params.max_response_length
     if total > state.cfg.max_positions:
-        raise ValueError("context too long for max_response_length")
+        raise SequenceTooLongError(
+            f"context of {n0} tokens plus max_response_length {params.max_response_length} "
+            f"exceeds max_positions {state.cfg.max_positions}"
+        )
     rng = np.random.default_rng(params.seed)
 
+    last = mask.values[n0 - 1, :n0]  # last context row holds the key-column pattern
+    visible = last != NEG_INF
+    visible[-1] = True  # its logits pick the first token
+    order = np.argsort(visible, kind="stable")  # hidden rows first, then visible ones in order
     cols = np.zeros(total, dtype=np.float32)
-    cols[:n0] = mask.values[n0 - 1, :n0]  # last context row holds the key-column pattern
+    cols[:n0] = last[order]
 
     def stream(ids: np.ndarray, fill: int) -> np.ndarray:
         row = np.full((1, total), fill, dtype=np.int64)
-        row[0, :n0] = ids
+        row[0, :n0] = ids[order]
         return row
 
+    pos = np.arange(total, dtype=np.int64)[None, :]
+    pos[0, :n0] = order
     packed = Batch(
         tok=stream(seq.token_ids, 0),
-        pos=np.arange(total, dtype=np.int64)[None, :],
+        pos=pos,
         ent=stream(seq.entity_ids, 0),
         tri=stream(seq.triple_ids, 0),
         typ=stream(seq.type_ids, type_system),
@@ -598,6 +614,7 @@ def sample_response(
     )
 
     kv = KVCache.empty(state.cfg, total, state.dtype)
+    kv.length = n0 - int(np.count_nonzero(visible))  # hidden rows: never computed, never read
     out: list[int] = []
     for n in range(n0, total):
         prefix = Batch(

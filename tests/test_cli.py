@@ -234,14 +234,14 @@ class TestInspect:
 
 
 class TestChat:
-    def run_chat(self, run_dir, tmp_path, monkeypatch, lines):
+    def run_chat(self, run_dir, tmp_path, monkeypatch, lines, max_response_length=5):
         import io
 
         kg = tmp_path / "kg.json"
         kg.write_text(json.dumps({"triples": [["starbucks", "distance", "4 miles"]]}))
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
         return main(["chat", "--ckpt", str(run_dir / "model.ckpt"), "--kg", str(kg),
-                     "--max-response-length", "5"])
+                     "--max-response-length", str(max_response_length)])
 
     def test_quit_immediately(self, run_dir, tmp_path, monkeypatch):
         assert self.run_chat(run_dir, tmp_path, monkeypatch, ["/quit"]) == 0
@@ -257,6 +257,14 @@ class TestChat:
     def test_reset_and_seed_commands(self, run_dir, tmp_path, monkeypatch, capsys):
         rc = self.run_chat(run_dir, tmp_path, monkeypatch, ["/seed 42", "hello ?", "/reset", "/quit"])
         assert rc == 0
+
+    def test_context_past_max_positions_rejected(self, run_dir, tmp_path, monkeypatch, capsys):
+        # any context plus 600 response slots exceeds the checkpoint's 512 positions
+        rc = self.run_chat(run_dir, tmp_path, monkeypatch, ["how far ?", "hello ?", "/quit"], max_response_length=600)
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("input rejected") == 2
+        assert captured.out == ""
 
 
 class TestHelp:

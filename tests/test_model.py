@@ -6,7 +6,14 @@ import pytest
 
 from kgdialog.corpus import build_graph
 from kgdialog.graph_weights import Selection
-from kgdialog.masking import NEG_INF, compose_mask, knowledge_column_mask, unmasked_columns
+from kgdialog.masking import (
+    NEG_INF,
+    AttentionMask,
+    causal_key_columns,
+    compose_mask,
+    knowledge_column_mask,
+    unmasked_columns,
+)
 from kgdialog.model import (
     Batch,
     DecodingParams,
@@ -396,6 +403,47 @@ class TestSampling:
                 type_ids=np.append(ext.type_ids, TYPE_SYSTEM),
             )
         assert got == want
+
+    def test_hidden_context_rows_not_computed(self, monkeypatch):
+        seq = make_seq(gold=None)
+        state = scaled_model()
+        params = DecodingParams(top_k=1, max_response_length=4)
+        calls: list[tuple[int, int]] = []  # (cache length before the call, prefix length)
+
+        def recording(state, batch, train=False, rng=None, kv=None):
+            calls.append((kv.length, batch.shape[1]))
+            return forward_batch(state, batch, train=train, rng=rng, kv=kv)
+
+        monkeypatch.setattr("kgdialog.model.forward_batch", recording)
+        cols = masked_triple_columns(seq)
+        sample_response(state, seq, compose_mask(seq, cols), params, VOCAB.eos_id)
+        hidden = int(np.count_nonzero(cols == NEG_INF))
+        assert len(calls) > 1
+        # the prefill computes the n0 - hidden visible rows, every later call one row
+        assert calls == [(hidden, seq.n)] + [(seq.n + i - 1, seq.n + i) for i in range(1, len(calls))]
+
+        calls.clear()
+        sample_response(state, seq, full_mask(seq), params, VOCAB.eos_id)
+        assert calls[0] == (0, seq.n)
+
+    def test_last_context_row_computed_when_its_key_is_hidden(self, monkeypatch):
+        seq = make_seq(gold=None)
+        state = scaled_model()
+        knowledge = masked_triple_columns(seq)
+        cols = np.zeros(seq.n, dtype=np.float32)
+        cols[: knowledge.shape[0]] = knowledge
+        cols[-1] = NEG_INF  # no query reads the last context key, yet its row picks the first token
+        mask = AttentionMask(causal_key_columns(cols), seq.n)
+        seen = []
+
+        def recording(logits, params, rng):
+            seen.append(logits)
+            return sample_next(logits, params, rng)
+
+        monkeypatch.setattr("kgdialog.model.sample_next", recording)
+        sample_response(state, seq, mask, DecodingParams(top_k=1, max_response_length=1), VOCAB.eos_id)
+        want = forward(seq, mask, state)[-1]
+        np.testing.assert_allclose(seen[0], want, rtol=1e-5, atol=1e-5 * float(np.abs(want).max()))
 
     def test_respects_max_response_length(self):
         seq = make_seq(gold=None)
