@@ -43,28 +43,21 @@ def knowledge_column_mask(seq: InputSequence, sel: Selection, graph: KnowledgeGr
     """
     ke = seq.knowledge_end
     cols = np.zeros(ke + 1, dtype=np.float32)
-    keep = selected_triples(seq, sel, graph)
-    if not keep or not any(keep):
+    keep = np.array(selected_triples(seq, sel, graph), dtype=bool)
+    if not keep.any():
         return cols
 
-    group_keep: dict[int, bool] = {}
-    for p in range(ke + 1):
-        t = int(seq.triple_ids[p])
-        g = int(seq.entity_ids[p])
-        if t > 0 and g > 0:
-            group_keep[g] = group_keep.get(g, False) or keep[t - 1]
-
-    for p in range(ke + 1):
-        t = int(seq.triple_ids[p])
-        g = int(seq.entity_ids[p])
-        if t > 0:
-            visible = keep[t - 1]
-        elif g > 0:
-            visible = group_keep.get(g, False)
-        else:
-            visible = True
-        if not visible:
-            cols[p] = NEG_INF
+    tri = seq.triple_ids[: ke + 1]
+    grp = seq.entity_ids[: ke + 1]
+    in_triple = tri > 0
+    visible = np.ones(ke + 1, dtype=bool)
+    visible[in_triple] = keep[tri[in_triple] - 1]
+    # a subject group is visible iff any of its triple positions is
+    group_keep = np.zeros(int(grp.max()) + 1, dtype=bool)
+    group_keep[grp[in_triple & (grp > 0) & visible]] = True
+    subject = ~in_triple & (grp > 0)
+    visible[subject] = group_keep[grp[subject]]
+    cols[~visible] = NEG_INF
     return cols
 
 

@@ -27,6 +27,7 @@ from .model import (
 from .sequence import (
     AssemblyLimits,
     InputSequence,
+    SequenceTooLongError,
     Vocabulary,
     assemble_input,
     linearize_graph,
@@ -86,6 +87,22 @@ def _stable_int(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
 
 
+def _check_tables(seq: InputSequence, cfg: ModelConfig, sample_id: str) -> None:
+    """Refuse a sequence whose position, entity or triple ids reach past the
+    model's embedding tables (the bounds the model itself enforces), so the
+    refusal never depends on which triples the mask later hides."""
+    for name, ids, size in (
+        ("position", seq.position_ids, cfg.max_positions),
+        ("entity", seq.entity_ids, cfg.max_entity_ids),
+        ("triple", seq.triple_ids, cfg.max_triple_ids),
+    ):
+        top = int(ids.max())
+        if top >= size:
+            raise SequenceTooLongError(
+                f"sample {sample_id!r}: {name} ids reach {top}, past the model's {name} table of size {size}"
+            )
+
+
 def build_sample_inputs(
     sample: DialogueSample,
     vocab: Vocabulary,
@@ -97,7 +114,11 @@ def build_sample_inputs(
     order=None,
     with_gold: bool = True,
 ) -> tuple[InputSequence, np.ndarray]:
-    """Assemble one sample and its knowledge key-column mask values."""
+    """Assemble one sample and its knowledge key-column mask values.
+
+    Raises ``SequenceTooLongError`` if the assembled sequence is longer than
+    ``limits.context_limit`` or its ids do not fit the model's tables.
+    """
     seq = assemble_input(
         linearize_graph(sample.graph, order),
         sample.history,
@@ -107,6 +128,7 @@ def build_sample_inputs(
         limits,
         sample_id=sample.id,
     )
+    _check_tables(seq, state.cfg, sample.id)
     if use_kg_mask and sample.graph.triples:
         wg = compute_weighted_graph(sample.graph, sample.question, TokenEmbedder(vocab, state.params["tok_emb"]))
         sel = select_topk(wg, k_entity, k_relation)

@@ -82,6 +82,38 @@ def naive_graph_pipeline(triples: list[tuple[str, str, str]], question: str,
     return entities, relations, naive_softmax(ent_scores), naive_softmax(rel_scores)
 
 
+def naive_knowledge_columns(triples, triple_sources, triple_ids, entity_ids, knowledge_end,
+                            top_entities, top_relations, neg_inf):
+    """Per-position loop over the knowledge segment ([BOS] through [SEP]).
+
+    ``triples`` are the graph's (subject, relation, object) id tuples. A
+    triple position follows its triple; a subject position is visible iff
+    some position of its group belongs to a kept triple; every other
+    position is visible. With no triple kept, nothing is masked.
+    """
+    keep = []
+    for src in triple_sources:
+        s, r, o = triples[src]
+        keep.append((s in top_entities or o in top_entities) and r in top_relations)
+    cols = [0.0] * (knowledge_end + 1)
+    if True not in keep:
+        return cols
+    for p in range(knowledge_end + 1):
+        t, g = int(triple_ids[p]), int(entity_ids[p])
+        if t > 0:
+            visible = keep[t - 1]
+        elif g > 0:
+            visible = False
+            for q in range(knowledge_end + 1):
+                if int(entity_ids[q]) == g and int(triple_ids[q]) > 0 and keep[int(triple_ids[q]) - 1]:
+                    visible = True
+        else:
+            visible = True
+        if not visible:
+            cols[p] = neg_inf
+    return cols
+
+
 def naive_attention(q, k, v, m):
     """Triple-loop masked single-head attention."""
     n, dk = q.shape

@@ -258,6 +258,26 @@ class TestChat:
         rc = self.run_chat(run_dir, tmp_path, monkeypatch, ["/seed 42", "hello ?", "/reset", "/quit"])
         assert rc == 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--no-use-kg-mask"],
+        ["--k-entity", "1000", "--k-relation", "1000"],
+        [],
+    ])
+    def test_ids_past_embedding_tables_rejected(self, run_dir, tmp_path, monkeypatch, capsys, flags):
+        # 200 single-triple subjects fill 480 knowledge tokens with ~80 subject groups and
+        # triples, past the checkpoint's 8-row entity and triple tables, whatever is selected
+        import io
+
+        kg = tmp_path / "kg.json"
+        kg.write_text(json.dumps({"triples": [[f"place{i}", "distance", f"{i} miles"] for i in range(200)]}))
+        monkeypatch.setattr("sys.stdin", io.StringIO("how far ?\n/quit\n"))
+        rc = main(["chat", "--ckpt", str(run_dir / "model.ckpt"), "--kg", str(kg), "--max-response-length", "5",
+                   "--max-knowledge-tokens", "480", "--context-limit", "500", *flags])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "input rejected" in captured.err and "entity" in captured.err
+        assert captured.out == ""
+
     def test_context_past_max_positions_rejected(self, run_dir, tmp_path, monkeypatch, capsys):
         # any context plus 600 response slots exceeds the checkpoint's 512 positions
         rc = self.run_chat(run_dir, tmp_path, monkeypatch, ["how far ?", "hello ?", "/quit"], max_response_length=600)

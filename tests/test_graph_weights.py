@@ -1,24 +1,24 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgdialog.corpus import build_graph
+from kgdialog.corpus import Entity, KnowledgeGraph, RelationLabel, Triple, build_graph
 from kgdialog.graph_weights import (
     TokenEmbedder,
     WeightedGraph,
     build_bipartite,
     compute_weighted_graph,
-    cosine,
     feature_vector,
     inspect_dump,
+    propagate,
     relation_weights,
     select_topk,
     softmax_map,
 )
 from kgdialog.sequence import SPECIAL_TOKENS, Vocabulary
 
-from oracles import naive_cosine, naive_graph_pipeline
+from oracles import naive_cosine, naive_graph_pipeline, naive_mean_vector
 
 
 def make_embedder(words, dim=16, seed=5):
@@ -52,11 +52,27 @@ class TestScorer:
         x = feature_vector(build_bipartite(g), "find starbucks", emb)
         assert x[g.entities[0].id] == 0.0
 
-    def test_cosine_matches_naive_oracle(self, rng):
-        for _ in range(20):
-            u = rng.normal(size=16)
-            v = rng.normal(size=16)
-            assert abs(cosine(u, v) - naive_cosine(u, v)) < 1e-12
+    def test_feature_vector_matches_naive_cosine_per_node(self):
+        triples = [["alpha beta", "r1", "gamma"], ["unseen words", "r2", "alpha"], ["delta", "r1 r2", "beta gamma"]]
+        vocab, emb = make_embedder([w for w in words_of(triples) if w not in ("unseen", "words")] + ["which"])
+        g = build_graph(triples)
+        bg = build_bipartite(g)
+        question = "which alpha r2 ?"
+        x = feature_vector(bg, question, emb)
+        unk = list(emb.table[vocab.unk_id])
+        rows = {t: list(emb.table[vocab.token_to_id[t]]) for t in vocab.id_to_token}
+        rows.update({w: unk for w in ("unseen", "words", "?")})
+        qv = naive_mean_vector(question, rows, 16)
+        assert x.shape == (bg.d_g,)
+        for i, surface in enumerate(bg.surfaces):
+            assert abs(x[i] - naive_cosine(qv, naive_mean_vector(surface, rows, 16))) < 1e-12
+        assert x[bg.surfaces.index("unseen words")] == 0.0  # zero-norm node
+
+    def test_zero_norm_question_scores_zero(self):
+        _, emb = make_embedder(["s", "r", "o"])
+        bg = build_bipartite(build_graph([["s", "r", "o"]]))
+        np.testing.assert_array_equal(feature_vector(bg, "nothing known", emb), np.zeros(3))
+        np.testing.assert_array_equal(feature_vector(bg, "", emb), np.zeros(3))
 
     def test_scorer_matches_oracle_on_random_embeddings(self):
         triples = [["alpha", "r1", "beta"], ["gamma", "r1", "delta"], ["alpha", "r2", "beta two"]]
@@ -111,6 +127,60 @@ class TestBipartite:
             np.testing.assert_array_equal(bg.adjacency, bg.adjacency.T)
             norm = (bg.adjacency + np.eye(bg.d_g)) / bg.degrees[:, None]
             np.testing.assert_allclose(norm.sum(axis=1), 1.0, atol=1e-12)
+
+
+@st.composite
+def index_graphs(draw):
+    """Graphs built straight from index triples: repeated (subject, relation)
+    and (relation, object) pairs, subject == object, and relation or entity
+    nodes that no triple touches all occur."""
+    ne = draw(st.integers(1, 6))
+    nr = draw(st.integers(1, 4))
+    triples = draw(st.lists(
+        st.tuples(st.integers(0, ne - 1), st.integers(0, nr - 1), st.integers(0, ne - 1)),
+        max_size=14, unique=True,
+    ))
+    return KnowledgeGraph(
+        tuple(Entity(i, f"e{i}") for i in range(ne)),
+        tuple(RelationLabel(i, f"r{i}") for i in range(nr)),
+        tuple(Triple(*t) for t in triples),
+    )
+
+
+def loop_adjacency(graph: KnowledgeGraph) -> np.ndarray:
+    ne = graph.n_entities
+    d = ne + graph.n_relations
+    a = np.zeros((d, d))
+    for t in graph.triples:
+        for e in (t.subject, t.object):
+            a[e, ne + t.relation] = a[ne + t.relation, e] = 1.0
+    return a
+
+
+class TestPropagate:
+    @settings(max_examples=60, deadline=None)
+    @given(index_graphs(), st.integers(0, 2**32 - 1))
+    @example(  # (s, r) twice, (r, o) twice, s == o, and relation node 2 isolated
+        KnowledgeGraph(
+            tuple(Entity(i, f"e{i}") for i in range(4)),
+            tuple(RelationLabel(i, f"r{i}") for i in range(3)),
+            (Triple(0, 0, 1), Triple(0, 0, 2), Triple(3, 0, 2), Triple(1, 1, 1), Triple(2, 1, 0)),
+        ),
+        7,
+    )
+    def test_matches_dense_reference(self, graph, seed):
+        a = loop_adjacency(graph)
+        bg = build_bipartite(graph)
+        x = np.random.default_rng(seed).normal(size=bg.d_g)
+        a_i = a + np.eye(bg.d_g)
+        deg = a_i.sum(axis=1)
+        np.testing.assert_array_equal(bg.adjacency, a)
+        np.testing.assert_array_equal(bg.degrees, deg)
+        np.testing.assert_allclose(propagate(bg, x), (a_i @ x) / deg, rtol=0, atol=1e-12)
+
+    def test_empty_graph(self):
+        bg = build_bipartite(build_graph([]))
+        assert propagate(bg, np.zeros(0)).shape == (0,)
 
 
 class TestRelationWeights:
@@ -194,6 +264,35 @@ class TestWeightedGraph:
             for i, surf in enumerate(rels):
                 rid = next(r.id for r in g.relations if r.surface == surf)
                 assert abs(wg.relation_weights[rid] - rw[i]) < 1e-9
+
+    def test_300_triples_match_naive_pipeline(self):
+        rng = np.random.default_rng(11)
+        pool = [f"w{i}" for i in range(60)]
+        # distinct word sets, so no two surfaces share a mean vector and no weight tie is exact
+        surfaces = sorted({" ".join(sorted(rng.choice(pool, size=int(rng.integers(1, 3)), replace=False)))
+                           for _ in range(200)})
+        relations = [f"rel{i} of" if i % 3 else f"rel{i}" for i in range(12)]
+        triples = set()
+        while len(triples) < 300:
+            triples.add((surfaces[rng.integers(len(surfaces))], relations[rng.integers(len(relations))],
+                         surfaces[rng.integers(len(surfaces))]))
+        triples = sorted(triples)
+        question = "which w3 w7 rel4 of unknown"
+        vocab, emb = make_embedder(words_of(triples) + ["which"], dim=12, seed=3)
+        g = build_graph([list(t) for t in triples])
+        assert g.n_entities > 100 and g.n_relations == 12
+        wg = compute_weighted_graph(g, question, emb)
+
+        rows = {t: list(emb.table[vocab.token_to_id[t]]) for t in vocab.id_to_token}
+        rows["unknown"] = rows["[UNK]"]
+        ents, rels, ew, rw = naive_graph_pipeline(triples, question, rows, 12)
+        assert ents == [e.surface for e in g.entities] and rels == [r.surface for r in g.relations]
+        np.testing.assert_allclose([wg.entity_weights[i] for i in range(len(ents))], ew, rtol=0, atol=1e-12)
+        np.testing.assert_allclose([wg.relation_weights[i] for i in range(len(rels))], rw, rtol=0, atol=1e-12)
+        for k in (1, 7, 40):
+            sel = select_topk(wg, k, k)
+            assert sel.top_entities == set(sorted(range(len(ew)), key=lambda i: (-ew[i], i))[:k])
+            assert sel.top_relations == set(sorted(range(len(rw)), key=lambda i: (-rw[i], i))[:k])
 
     def test_inspect_dump_weights_match(self):
         triples = [["s1", "r1", "o1"], ["s2", "r2", "o2"], ["s1", "r2", "o3"]]

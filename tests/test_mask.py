@@ -11,7 +11,8 @@ from kgdialog.masking import (
     mask_summary,
     unmasked_columns,
 )
-from kgdialog.sequence import AssemblyLimits, assemble_input, linearize_graph
+from kgdialog.sequence import AssemblyLimits, assemble_input, linearize_graph, shuffled_order
+from oracles import naive_knowledge_columns
 from test_sequence import vocab_over
 
 TWO_SUBJ = build_graph(
@@ -82,6 +83,31 @@ class TestKnowledgeColumns:
         cols = knowledge_column_mask(seq, sel({o3}, {0}), TWO_SUBJ)
         assert (span_values(seq, cols, 3) == 0).all()
         assert (span_values(seq, cols, 1) == NEG_INF).all()
+
+    def test_matches_loop_oracle_on_random_selections(self, rng):
+        fallbacks = masked = shared = 0
+        for trial in range(60):
+            # several triples per subject, so subject spans are shared
+            triples = [(f"s{int(rng.integers(4))}", f"r{int(rng.integers(3))}", f"o{int(rng.integers(6))}")
+                       for _ in range(int(rng.integers(1, 12)))]
+            graph = build_graph([list(t) for t in dict.fromkeys(triples)])
+            order = None if trial % 2 else shuffled_order(graph, rng)
+            vocab = vocab_over("s0 s1 s2 s3 r0 r1 r2 o0 o1 o2 o3 o4 o5 q ?")
+            seq = assemble_input(linearize_graph(graph, order), [], "q ?", None, vocab, LIMITS)
+            ne, nr = graph.n_entities, graph.n_relations
+            s = sel(rng.choice(ne, size=int(rng.integers(0, ne + 1)), replace=False).tolist(),
+                    rng.choice(nr, size=int(rng.integers(0, nr + 1)), replace=False).tolist())
+            want = naive_knowledge_columns(
+                [(t.subject, t.relation, t.object) for t in graph.triples], seq.triple_sources,
+                seq.triple_ids, seq.entity_ids, seq.knowledge_end, s.top_entities, s.top_relations, float(NEG_INF),
+            )
+            got = knowledge_column_mask(seq, s, graph)
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, np.asarray(want, dtype=np.float32))
+            fallbacks += mask_summary(seq, s, graph)["fallback_all_visible"]
+            masked += bool((got < 0).any())
+            shared += any(len(g) > 1 for _, g in graph.subject_groups())
+        assert fallbacks >= 5 and masked >= 20 and shared >= 20  # every case actually exercised
 
 
 class TestCompose:

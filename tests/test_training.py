@@ -1,10 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kgdialog.corpus import DatasetSplit, SynthConfig, generate_synthetic
 from kgdialog.model import ModelConfig, init_model
-from kgdialog.sequence import build_vocab
-from kgdialog.training import TrainConfig, TrainingDiverged, adamw_step, dataset_loss, save_history, train
+from kgdialog.sequence import AssemblyLimits, SequenceTooLongError, build_vocab
+from kgdialog.training import (
+    TrainConfig,
+    TrainingDiverged,
+    adamw_step,
+    build_sample_inputs,
+    dataset_loss,
+    save_history,
+    train,
+)
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +106,26 @@ class TestTrainLoop:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "epoch,train_loss,valid_loss"
         assert len(lines) == 3
+
+
+class TestSampleInputs:
+    @pytest.mark.parametrize("use_kg_mask,k", [(False, 7), (True, 1), (True, 100)])
+    def test_ids_past_tables_refused_whatever_the_selection(self, small_world, use_kg_mask, k):
+        train_split, _, vocab, mcfg = small_world
+        sample = train_split.samples[0]
+        groups = len(sample.graph.subject_groups())
+        small = dataclasses.replace(mcfg, max_entity_ids=groups)  # group ids run 1..groups
+        state = init_model(small, seed=0)
+        with pytest.raises(SequenceTooLongError, match="entity ids reach .* table of size"):
+            build_sample_inputs(sample, vocab, state, k, k, use_kg_mask, AssemblyLimits())
+        fits = init_model(dataclasses.replace(mcfg, max_entity_ids=groups + 1), seed=0)
+        seq, _ = build_sample_inputs(sample, vocab, fits, k, k, use_kg_mask, AssemblyLimits())
+        assert int(seq.entity_ids.max()) == groups
+
+    def test_positions_past_table_refused(self, small_world):
+        train_split, _, vocab, mcfg = small_world
+        sample = train_split.samples[0]
+        n = build_sample_inputs(sample, vocab, init_model(mcfg, seed=0), 7, 7, True, AssemblyLimits())[0].n
+        state = init_model(dataclasses.replace(mcfg, max_positions=n - 1), seed=0)
+        with pytest.raises(SequenceTooLongError, match="position ids"):
+            build_sample_inputs(sample, vocab, state, 7, 7, True, AssemblyLimits())
