@@ -23,11 +23,9 @@ from .corpus import (
 )
 from .evaluation import EvalReport, entity_f1, evaluate, sentence_bleu
 from .graph_weights import (
-    BipartiteGraph,
     Selection,
     TokenEmbedder,
     WeightedGraph,
-    build_bipartite,
     compute_weighted_graph,
     feature_vector,
     relation_weights,
@@ -48,10 +46,12 @@ from .model import (
 )
 from .sequence import (
     AssemblyLimits,
+    GraphIndex,
     InputSequence,
     Vocabulary,
     assemble_input,
     build_vocab,
+    graph_index,
     linearize_graph,
 )
 from .training import TrainConfig, train

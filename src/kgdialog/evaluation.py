@@ -22,7 +22,7 @@ import numpy as np
 from .corpus import DatasetSplit
 from .model import DecodingParams, ModelState, sample_response
 from .masking import compose_mask
-from .sequence import Vocabulary
+from .sequence import SequenceTooLongError, Vocabulary
 from .training import TrainConfig, build_sample_inputs
 
 BLEU_SMOOTHING = "zero n-gram matches replaced by 1/(2 * candidate n-gram count)"
@@ -127,6 +127,7 @@ def format_report_table(report: EvalReport) -> str:
         f"{'BLEU':<12}{report.bleu:>8.2f}",
         f"{'Entity F1':<12}{report.entity_f1:>8.2f}",
         f"{'samples':<12}{len(report.records):>8d}",
+        f"{'refused':<12}{report.config['n_refused']:>8d}",
     ]
     return "\n".join(lines)
 
@@ -146,31 +147,37 @@ def evaluate(
 
     Each sample gets its own deterministic sampling seed derived from the
     decoding seed and the sample index, so results are stable under
-    parallel evaluation and reordering.
+    parallel evaluation and reordering. A sample the model cannot take
+    (``SequenceTooLongError``) is scored with an empty hypothesis, and its
+    record carries the refusal message under ``"refused"``.
     """
     samples = split.samples[:max_samples] if max_samples else split.samples
     matcher = EntityMatcher(lexicon)
 
-    def generate(idx: int) -> str:
+    def generate(idx: int) -> tuple[str, str | None]:
+        """(hypothesis, refusal message or None) for one sample."""
         sample = samples[idx]
         if hyp_from_gold:
-            return sample.gold_response
-        seq, cols = build_sample_inputs(
-            sample, vocab, state, train_cfg.k_entity, train_cfg.k_relation,
-            train_cfg.use_kg_mask, train_cfg.limits, with_gold=False,
-        )
-        mask = compose_mask(seq, cols)
+            return sample.gold_response, None
         params = replace(
             decoding, seed=int(np.random.SeedSequence([decoding.seed, idx]).generate_state(1)[0])
         )
-        ids = sample_response(state, seq, mask, params, vocab.eos_id)
-        return " ".join(vocab.decode(ids))
+        try:
+            seq, cols = build_sample_inputs(
+                sample, vocab, state, train_cfg.k_entity, train_cfg.k_relation,
+                train_cfg.use_kg_mask, train_cfg.limits, with_gold=False,
+            )
+            ids = sample_response(state, seq, compose_mask(seq, cols), params, vocab.eos_id)
+        except SequenceTooLongError as e:
+            return "", str(e)
+        return " ".join(vocab.decode(ids)), None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            hyps = list(pool.map(generate, range(len(samples))))
+            outcomes = list(pool.map(generate, range(len(samples))))
     else:
-        hyps = [generate(i) for i in range(len(samples))]
+        outcomes = [generate(i) for i in range(len(samples))]
+    hyps = [h for h, _ in outcomes]
 
     golds = [s.gold_response for s in samples]
     bleus = [sentence_bleu(h.split(), g.split()) for h, g in zip(hyps, golds)]
@@ -185,8 +192,9 @@ def evaluate(
             "bleu": b,
             "gold_entities": ents[0],
             "predicted_entities": ents[1],
+            **({"refused": refused} if refused is not None else {}),
         }
-        for s, g, h, b, ents in zip(samples, golds, hyps, bleus, per_sample)
+        for s, g, (h, refused), b, ents in zip(samples, golds, outcomes, bleus, per_sample)
     )
     config = {
         "k_entity": train_cfg.k_entity,
@@ -200,6 +208,7 @@ def evaluate(
         "hyp_from_gold": hyp_from_gold,
         "split": split.name,
         "n_samples": len(samples),
+        "n_refused": sum(refused is not None for _, refused in outcomes),
     }
     return EvalReport(
         bleu=100.0 * float(np.mean(bleus)) if bleus else 0.0,

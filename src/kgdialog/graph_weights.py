@@ -6,13 +6,15 @@ entities *and* relation labels. It feeds both weight families: entity
 weights are X at the entity nodes, relation weights are one propagation step
 D^-1 (A+I) X read off at the relation nodes.
 
-Each question is weighted with a fixed handful of array calls: one gather of
-every surface's token rows (the question's included) with a segment mean per
-surface, one matrix-vector product for the cosines, and one propagation over
-the graph's deduplicated (entity, relation) edge list. No dense adjacency is
-built on this path. Nothing is cached across requests: node vectors depend on
-the embedding table, which training updates in place, so a cached copy would
-go stale without any sign.
+Each question is weighted with a fixed handful of array calls on the graph's
+index (``sequence.graph_index``), which is built once per graph and holds the
+node surfaces as padded codes into the graph's unique strings and the
+deduplicated (entity, relation) edge list: one gather of the embedding rows
+of those strings, a sum over each node's codes, one matrix-vector product for
+the cosines, and one propagation over the edge list. No dense adjacency is
+built. The index holds nothing of the vocabulary or the embedding table;
+node vectors are gathered from the table on every request, because training
+updates it in place and a copy would go stale without any sign.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import KnowledgeGraph
-from .sequence import Vocabulary
+from .sequence import GraphIndex, Vocabulary, graph_index
 
 
 class TokenEmbedder:
@@ -34,86 +36,49 @@ class TokenEmbedder:
         self.vocab = vocab
         self.table = table
 
-    def mean_vectors(self, texts: list[str] | tuple[str, ...]) -> np.ndarray:
-        """(len(texts), dim) float64 mean token embeddings; an empty text gives a zero row."""
-        split = [t.split() for t in texts]
-        lengths = np.array([len(s) for s in split], dtype=np.int64)
-        out = np.zeros((len(texts), self.table.shape[1]), dtype=np.float64)
-        nonempty = lengths > 0
-        if nonempty.any():
-            rows = self.table[self.vocab.encode([tok for s in split for tok in s])].astype(np.float64)
-            out[nonempty] = np.add.reduceat(rows, (np.cumsum(lengths) - lengths)[nonempty], axis=0)
-            out /= np.maximum(lengths, 1)[:, None]
+    def mean_vector(self, text: str) -> np.ndarray:
+        """(dim,) float64 mean token embedding; an empty text gives a zero vector."""
+        tokens = text.split()
+        if not tokens:
+            return np.zeros(self.table.shape[1], dtype=np.float64)
+        return self.table[self.vocab.encode(tokens)].astype(np.float64).sum(axis=0) / len(tokens)
+
+    def node_vectors(self, index: GraphIndex) -> np.ndarray:
+        """(d_g, dim) float64 mean token embedding of every node surface of the graph.
+
+        The graph's unique strings are encoded and gathered once; each node
+        then sums the rows of its padded codes word by word (no
+        (d_g, width, dim) temporary), the pad code pointing at a zero row.
+        """
+        strings = index.stream.strings
+        rows = np.zeros((len(strings) + 1, self.table.shape[1]), dtype=np.float64)
+        rows[:-1] = self.table[self.vocab.encode(strings)]
+        codes = index.node_codes
+        out = np.zeros((codes.shape[0], rows.shape[1]), dtype=np.float64)
+        for j in range(codes.shape[1]):
+            out += rows[codes[:, j]]
+        out /= np.maximum(index.node_lengths, 1)[:, None]
         return out
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Undirected entity/relation-node graph with row-stochastic propagation.
-
-    Nodes 0..n_entities-1 are entities, the rest relation labels, both in
-    first-appearance order. Each triple (s, r, o) contributes edges s-r and
-    r-o; an edge present several times counts once. ``edge_entities[i]`` and
-    ``edge_relations[i]`` are the node indices of edge i. Degrees include the
-    self loop from (A+I), so D^-1 always exists.
-    """
-
-    n_entities: int
-    n_relations: int
-    edge_entities: np.ndarray  # (n_edges,) entity node index per unique edge
-    edge_relations: np.ndarray  # (n_edges,) relation node index per unique edge
-    degrees: np.ndarray  # (d_g,) row sums of A+I
-    surfaces: tuple[str, ...]
-
-    @property
-    def d_g(self) -> int:
-        return self.n_entities + self.n_relations
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Dense (d_g, d_g) symmetric 0/1 view with zero diagonal, built on request."""
-        a = np.zeros((self.d_g, self.d_g), dtype=np.float64)
-        a[self.edge_entities, self.edge_relations] = 1.0
-        a[self.edge_relations, self.edge_entities] = 1.0
-        return a
-
-
-def build_bipartite(graph: KnowledgeGraph) -> BipartiteGraph:
-    ne, nr = graph.n_entities, graph.n_relations
-    d = ne + nr
-    sro = np.array([(t.subject, t.relation, t.object) for t in graph.triples], dtype=np.int64).reshape(-1, 3)
-    ends = np.concatenate([sro[:, 0], sro[:, 2]])
-    rels = np.concatenate([sro[:, 1], sro[:, 1]])
-    base = max(nr, 1)
-    codes = np.sort(ends * base + rels)  # one code per (entity, relation) pair
-    first = np.ones(codes.size, dtype=bool)
-    first[1:] = codes[1:] != codes[:-1]
-    codes = codes[first]  # np.unique would also do, but its first call imports numpy.ma (~1 MB)
-    edge_e, edge_r = codes // base, ne + codes % base
-    degrees = 1.0 + np.bincount(edge_e, minlength=d) + np.bincount(edge_r, minlength=d)
-    surfaces = tuple(e.surface for e in graph.entities) + tuple(r.surface for r in graph.relations)
-    return BipartiteGraph(ne, nr, edge_e, edge_r, degrees, surfaces)
-
-
-def feature_vector(bg: BipartiteGraph, question: str, embedder: TokenEmbedder) -> np.ndarray:
+def feature_vector(index: GraphIndex, question: str, embedder: TokenEmbedder) -> np.ndarray:
     """Cosine similarity between the question and every node surface; 0 where either norm is 0."""
-    vecs = embedder.mean_vectors((question,) + bg.surfaces)
-    q, nodes = vecs[0], vecs[1:]
+    q, nodes = embedder.mean_vector(question), embedder.node_vectors(index)
     norms = np.linalg.norm(nodes, axis=1) * np.linalg.norm(q)
-    return np.divide(nodes @ q, norms, out=np.zeros(bg.d_g, dtype=np.float64), where=norms > 0.0)
+    return np.divide(nodes @ q, norms, out=np.zeros(index.d_g, dtype=np.float64), where=norms > 0.0)
 
 
-def propagate(bg: BipartiteGraph, x: np.ndarray) -> np.ndarray:
+def propagate(index: GraphIndex, x: np.ndarray) -> np.ndarray:
     """One step of D^-1 (A+I) applied to a node feature vector, over the edge list."""
-    d = bg.d_g
-    h = x + np.bincount(bg.edge_entities, weights=x[bg.edge_relations], minlength=d)
-    h += np.bincount(bg.edge_relations, weights=x[bg.edge_entities], minlength=d)
-    return h / bg.degrees
+    d = index.d_g
+    h = x + np.bincount(index.edge_entities, weights=x[index.edge_relations], minlength=d)
+    h += np.bincount(index.edge_relations, weights=x[index.edge_entities], minlength=d)
+    return h / index.degrees
 
 
-def relation_weights(bg: BipartiteGraph, x: np.ndarray) -> dict[int, float]:
+def relation_weights(index: GraphIndex, x: np.ndarray) -> dict[int, float]:
     """Raw per-relation scores: propagated features at relation nodes only."""
-    return dict(enumerate(propagate(bg, x)[bg.n_entities :].tolist()))
+    return dict(enumerate(propagate(index, x)[index.n_entities :].tolist()))
 
 
 def softmax_map(raw: dict[int, float]) -> dict[int, float]:
@@ -132,13 +97,13 @@ class WeightedGraph:
 
 def _weigh(graph: KnowledgeGraph, question: str, embedder: TokenEmbedder):
     """The whole pipeline, shared by ``compute_weighted_graph`` and ``inspect_dump``."""
-    bg = build_bipartite(graph)
-    x = feature_vector(bg, question, embedder)
-    h = propagate(bg, x)
+    index = graph_index(graph)
+    x = feature_vector(index, question, embedder)
+    h = propagate(index, x)
     # entity ids are the first n_entities node indices, relation ids the rest
-    ne = bg.n_entities
+    ne = index.n_entities
     wg = WeightedGraph(softmax_map(dict(enumerate(x[:ne].tolist()))), softmax_map(dict(enumerate(h[ne:].tolist()))))
-    return bg, x, h, wg
+    return index, x, h, wg
 
 
 def compute_weighted_graph(graph: KnowledgeGraph, question: str, embedder: TokenEmbedder) -> WeightedGraph:
@@ -180,14 +145,15 @@ def inspect_dump(
     k_relation: int,
 ) -> dict:
     """JSON-ready dump of the full weighting pipeline for one question."""
-    bg, x, h, wg = _weigh(graph, question, embedder)
+    index, x, h, wg = _weigh(graph, question, embedder)
     sel = select_topk(wg, k_entity, k_relation)
-    kinds = ["entity"] * bg.n_entities + ["relation"] * bg.n_relations
+    kinds = ["entity"] * index.n_entities + ["relation"] * index.n_relations
     # entity nodes come first, so every edge is already (lower, higher)
-    pairs = sorted(zip(bg.edge_entities.tolist(), bg.edge_relations.tolist()))
+    pairs = sorted(zip(index.edge_entities.tolist(), index.edge_relations.tolist()))
+    surfaces = [e.surface for e in graph.entities] + [r.surface for r in graph.relations]
     return {
         "question": question,
-        "nodes": [{"index": i, "kind": kinds[i], "surface": bg.surfaces[i]} for i in range(bg.d_g)],
+        "nodes": [{"index": i, "kind": kinds[i], "surface": surfaces[i]} for i in range(index.d_g)],
         "adjacency": [list(p) for p in pairs],
         "feature_vector": x.tolist(),
         "propagated": h.tolist(),

@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import KnowledgeGraph
 from .graph_weights import Selection
-from .sequence import InputSequence
+from .sequence import InputSequence, graph_index
 
 NEG_INF = np.float32(-1e9)
 
@@ -24,13 +24,18 @@ class AttentionMask:
     n: int  # real (unpadded) sequence length
 
 
-def selected_triples(seq: InputSequence, sel: Selection, graph: KnowledgeGraph) -> list[bool]:
+def _chosen(ids: frozenset[int], size: int) -> np.ndarray:
+    """(size,) flags of the ids in ``ids``; ids outside the graph are ignored."""
+    flags = np.zeros(size, dtype=bool)
+    flags[[i for i in ids if 0 <= i < size]] = True
+    return flags
+
+
+def selected_triples(seq: InputSequence, sel: Selection, graph: KnowledgeGraph) -> np.ndarray:
     """Per emitted triple: visible iff (subject or object selected) and relation selected."""
-    out = []
-    for src in seq.triple_sources:
-        t = graph.triples[src]
-        out.append((t.subject in sel.top_entities or t.object in sel.top_entities) and t.relation in sel.top_relations)
-    return out
+    sro = graph_index(graph).sro[list(seq.triple_sources)]
+    entities = _chosen(sel.top_entities, graph.n_entities)
+    return (entities[sro[:, 0]] | entities[sro[:, 2]]) & _chosen(sel.top_relations, graph.n_relations)[sro[:, 1]]
 
 
 def knowledge_column_mask(seq: InputSequence, sel: Selection, graph: KnowledgeGraph) -> np.ndarray:
@@ -43,7 +48,7 @@ def knowledge_column_mask(seq: InputSequence, sel: Selection, graph: KnowledgeGr
     """
     ke = seq.knowledge_end
     cols = np.zeros(ke + 1, dtype=np.float32)
-    keep = np.array(selected_triples(seq, sel, graph), dtype=bool)
+    keep = selected_triples(seq, sel, graph)
     if not keep.any():
         return cols
 
@@ -87,9 +92,9 @@ def compose_mask(seq: InputSequence, knowledge_cols: np.ndarray, pad_len: int = 
     cols[: knowledge_cols.shape[0]] = knowledge_cols
     cols[n:] = NEG_INF
 
-    values = np.full((total, total), NEG_INF, dtype=np.float32)
-    values[:n, :n] = causal_key_columns(cols[:n])
+    values = causal_key_columns(cols)
     if pad_len:
+        values[n:] = NEG_INF
         values[n:, 0] = 0.0
     return AttentionMask(values, n)
 
@@ -108,5 +113,5 @@ def mask_summary(seq: InputSequence, sel: Selection, graph: KnowledgeGraph) -> d
             for i, src in enumerate(seq.triple_sources)
         ],
         "masked_key_positions": int(np.sum(cols < 0)),
-        "fallback_all_visible": bool(keep) and not any(keep),
+        "fallback_all_visible": bool(keep.size) and not keep.any(),
     }

@@ -4,12 +4,21 @@ The model consumes one flat sequence with five aligned index streams:
 token, position, entity group, triple, and segment type. The knowledge part
 comes first ([BOS] ... [SEP]), then dialogue history, then [Q] + question,
 then (for training) the gold response + [EOS].
+
+Each graph is indexed once, on first use (``graph_index``): its unique token
+strings, its identity-order knowledge stream as codes into them, triple
+boundaries, subject groups, edges and node-surface codes. A request then
+only maps the strings to ids, cuts the stream at the knowledge budget and
+copies the kept part. The index holds nothing of a vocabulary or an
+embedding table, so it is valid for every request on the graph.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -63,8 +72,7 @@ class Vocabulary:
         return self.token_to_id[UNK]
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
-        unk = self.unk_id
-        return [self.token_to_id.get(t, unk) for t in tokens]
+        return list(map(self.token_to_id.get, tokens, repeat(self.unk_id)))
 
     def encode_text(self, text: str) -> list[int]:
         return self.encode(text.split())
@@ -124,30 +132,200 @@ def vocab_sha256(vocab: Vocabulary) -> str:
     return hashlib.sha256(("\n".join(vocab.id_to_token) + "\n").encode("utf-8")).hexdigest()
 
 
-# --- graph linearization ----------------------------------------------------
+# --- graph index and linearization -------------------------------------------
 
 GraphOrder = list[list[int]]  # groups in emission order; each inner list holds original triple indices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnowledgeStream:
-    """Linearized graph: token strings plus per-token entity/triple annotations.
+    """Linearized graph: token codes plus per-token entity/triple annotations.
 
+    ``codes[p]`` indexes ``strings``, the graph's unique token strings.
     ``entity_ids[p]`` is the 1-based emitted subject-group index covering
     position ``p`` (0 = none). ``triple_ids[p]`` is the 1-based emitted triple
     index over each [R]...object span; subject spans carry 0 because they are
-    shared by every triple of the group. ``triple_sources[t-1]`` maps emitted
-    triple ``t`` back to the graph's triple index.
+    shared by every triple of the group. Emitted triple ``t`` spans
+    ``[triple_starts[t-1], triple_ends[t-1])`` and ``triple_sources[t-1]`` is
+    its index in the graph.
     """
 
-    tokens: tuple[str, ...]
-    entity_ids: tuple[int, ...]
-    triple_ids: tuple[int, ...]
+    strings: tuple[str, ...]
+    codes: np.ndarray  # (L,) int32
+    entity_ids: np.ndarray  # (L,) int32
+    triple_ids: np.ndarray  # (L,) int32
+    triple_starts: np.ndarray  # (T,) int32
+    triple_ends: np.ndarray  # (T,) int32
     triple_sources: tuple[int, ...]
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        strings = self.strings
+        return tuple(strings[c] for c in self.codes.tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class GraphIndex:
+    """What linearization, truncation and graph weighting need of one graph.
+
+    Built once per ``KnowledgeGraph`` object on first use (``graph_index``)
+    and kept on it. Token strings are held once, in ``stream.strings``; the
+    stream and the node surfaces refer to them by code. Nothing here depends
+    on a vocabulary or an embedding table, so the index stays valid across
+    models, vocabularies and training steps: a request maps the strings to
+    ids and the ids to embedding rows itself.
+
+    The graph's bipartite view has nodes 0..n_entities-1 for entities and the
+    rest for relation labels, both in first-appearance order. Each triple
+    (s, r, o) contributes edges s-r and r-o; an edge present several times
+    counts once. ``edge_entities[i]`` and ``edge_relations[i]`` are the node
+    indices of edge i. ``degrees`` are the row sums of A+I, so D^-1 always
+    exists.
+    """
+
+    stream: KnowledgeStream  # identity order: subject groups in first-appearance order
+    group_ends: np.ndarray  # (G,) end of each identity subject group within stream.triple_sources
+    head_starts: np.ndarray  # (G,) [S] position of each identity subject group
+    head_ends: np.ndarray  # (G,) end of that group's [S] subject header
+    emitted_of: np.ndarray  # (T,) 0-based identity emitted index of each graph triple
+    sro: np.ndarray  # (T, 3) int32 subject, relation, object of each graph triple
+    n_entities: int
+    n_relations: int
+    node_codes: np.ndarray  # (d_g, width) int32 surface codes, padded with len(stream.strings)
+    node_lengths: np.ndarray  # (d_g,) words per node surface
+    edge_entities: np.ndarray  # (n_edges,) entity node index per unique edge
+    edge_relations: np.ndarray  # (n_edges,) relation node index per unique edge
+    degrees: np.ndarray  # (d_g,) row sums of A+I
+
+    @property
+    def d_g(self) -> int:
+        return self.n_entities + self.n_relations
+
+
+def _segmented_stream(strings: tuple[str, ...], codes: np.ndarray, is_head: np.ndarray, lengths: np.ndarray,
+                      sources: tuple[int, ...]) -> KnowledgeStream:
+    """A stream from its codes ([BOS] first) and its segments in emission
+    order: each subject group's header, then the group's triples."""
+    is_triple = ~is_head
+    ends = 1 + np.cumsum(lengths, dtype=np.int32)
+    zero = np.zeros(1, dtype=np.int32)
+    return KnowledgeStream(
+        strings=strings,
+        codes=codes,
+        entity_ids=np.concatenate([zero, np.repeat(np.cumsum(is_head, dtype=np.int32), lengths)]),
+        triple_ids=np.concatenate([zero, np.repeat(np.cumsum(is_triple, dtype=np.int32) * is_triple, lengths)]),
+        triple_starts=(ends - lengths)[is_triple],
+        triple_ends=ends[is_triple],
+        triple_sources=sources,
+    )
+
+
+def _build_index(graph: KnowledgeGraph) -> GraphIndex:
+    code_of: dict[str, int] = {}
+
+    def encode(text: str) -> list[int]:
+        # interned, so graphs that share words share their strings
+        return [code_of.setdefault(sys.intern(w), len(code_of)) for w in text.split()]
+
+    bos, s_tok, r_tok, o_tok = encode(" ".join((BOS, S_TOK, R_TOK, O_TOK)))
+    ne, nr = graph.n_entities, graph.n_relations
+    surface_codes: list[list[int] | None] = [None] * (ne + nr)  # encoded on first use, in stream order
+
+    def node(i: int, surface: str) -> list[int]:
+        c = surface_codes[i]
+        if c is None:
+            c = surface_codes[i] = encode(surface)
+        return c
+
+    # one segment per subject header and per triple, in identity order
+    codes, seg_lengths, seg_head = [bos], [], []
+    head_starts, head_ends, group_ends, sources = [], [], [], []
+    for subject, members in graph.subject_groups():
+        head_starts.append(len(codes))
+        codes.append(s_tok)
+        codes += node(subject, graph.entities[subject].surface)
+        head_ends.append(len(codes))
+        seg_lengths.append(len(codes) - head_starts[-1])
+        seg_head.append(True)
+        for t in members:
+            triple = graph.triples[t]
+            start = len(codes)
+            codes.append(r_tok)
+            codes += node(ne + triple.relation, graph.relations[triple.relation].surface)
+            codes.append(o_tok)
+            codes += node(triple.object, graph.entities[triple.object].surface)
+            sources.append(t)
+            seg_lengths.append(len(codes) - start)
+            seg_head.append(False)
+        group_ends.append(len(sources))
+    for i, surface in enumerate([e.surface for e in graph.entities] + [r.surface for r in graph.relations]):
+        node(i, surface)
+    strings = tuple(code_of)
+    stream = _segmented_stream(strings, np.array(codes, dtype=np.int32), np.array(seg_head, dtype=bool),
+                               np.array(seg_lengths, dtype=np.int32), tuple(sources))
+
+    n_triples = len(graph.triples)
+    emitted_of = np.empty(n_triples, dtype=np.int32)
+    emitted_of[sources] = np.arange(n_triples, dtype=np.int32)
+    sro = np.array([(t.subject, t.relation, t.object) for t in graph.triples], dtype=np.int32).reshape(-1, 3)
+
+    node_lengths = np.array([len(c) for c in surface_codes], dtype=np.int32)
+    node_codes = np.full((ne + nr, int(node_lengths.max(initial=0))), len(strings), dtype=np.int32)
+    flat = np.array([c for cs in surface_codes for c in cs], dtype=np.int32)
+    row_starts = np.cumsum(node_lengths) - node_lengths
+    node_codes[np.repeat(np.arange(ne + nr), node_lengths), np.arange(flat.size) - np.repeat(row_starts, node_lengths)] = flat
+
+    ends = np.concatenate([sro[:, 0], sro[:, 2]]).astype(np.int64)
+    rels = np.concatenate([sro[:, 1], sro[:, 1]]).astype(np.int64)
+    base = max(nr, 1)
+    edge_codes = np.sort(ends * base + rels)  # one code per (entity, relation) pair
+    first = np.ones(edge_codes.size, dtype=bool)
+    first[1:] = edge_codes[1:] != edge_codes[:-1]
+    edge_codes = edge_codes[first]  # np.unique would also do, but its first call imports numpy.ma (~1 MB)
+    edge_e, edge_r = (edge_codes // base).astype(np.int32), (ne + edge_codes % base).astype(np.int32)
+    degrees = 1.0 + np.bincount(edge_e, minlength=ne + nr) + np.bincount(edge_r, minlength=ne + nr)
+
+    index = GraphIndex(
+        stream=stream,
+        group_ends=np.array(group_ends, dtype=np.int32),
+        head_starts=np.array(head_starts, dtype=np.int32),
+        head_ends=np.array(head_ends, dtype=np.int32),
+        emitted_of=emitted_of,
+        sro=sro,
+        n_entities=ne,
+        n_relations=nr,
+        node_codes=node_codes,
+        node_lengths=node_lengths,
+        edge_entities=edge_e,
+        edge_relations=edge_r,
+        degrees=degrees,
+    )
+    # every request shares these arrays: a write into one would reach all later requests
+    for holder in (index, stream):
+        for value in vars(holder).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return index
+
+
+def graph_index(graph: KnowledgeGraph) -> GraphIndex:
+    """The graph's index, built on first use and kept on the graph object.
+
+    Two threads that ask at once may both build it; both get equal indices.
+    """
+    index = graph.__dict__.get("_index")
+    if index is None:
+        index = _build_index(graph)
+        # KnowledgeGraph is frozen: store past __setattr__, as functools.cached_property does
+        graph.__dict__["_index"] = index
+    return index
 
 
 def identity_order(graph: KnowledgeGraph) -> GraphOrder:
-    return [list(idxs) for _, idxs in graph.subject_groups()]
+    index = graph_index(graph)
+    sources = index.stream.triple_sources
+    ends = index.group_ends.tolist()
+    return [list(sources[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def shuffled_order(graph: KnowledgeGraph, rng: np.random.Generator) -> GraphOrder:
@@ -158,51 +336,50 @@ def shuffled_order(graph: KnowledgeGraph, rng: np.random.Generator) -> GraphOrde
     return groups
 
 
-def _check_order(graph: KnowledgeGraph, order: GraphOrder) -> None:
-    flat = [i for g in order for i in g]
-    if sorted(flat) != list(range(len(graph.triples))):
+def _check_order(index: GraphIndex, flat: np.ndarray, sizes: np.ndarray) -> None:
+    n_triples = index.sro.shape[0]
+    if flat.size != n_triples or not np.array_equal(np.sort(flat), np.arange(n_triples)):
         raise ValueError("order must cover every triple exactly once")
-    for g in order:
-        if not g:
-            raise ValueError("order contains an empty subject group")
-        subj = graph.triples[g[0]].subject
-        if any(graph.triples[i].subject != subj for i in g):
-            raise ValueError("order group mixes triples of different subjects")
+    if not sizes.all():
+        raise ValueError("order contains an empty subject group")
+    subjects = index.sro[flat, 0]
+    if np.any(subjects != np.repeat(subjects[np.cumsum(sizes) - sizes], sizes)):
+        raise ValueError("order group mixes triples of different subjects")
 
 
 def linearize_graph(graph: KnowledgeGraph, order: GraphOrder | None = None) -> KnowledgeStream:
     """Flatten a graph to ``[BOS] ([S] subj ([R] rel [O] obj)+)*``.
 
     ``order`` permutes subject groups and the triples within each group;
-    the default is first-appearance order.
+    the default is first-appearance order, which the graph's index holds.
+    Any other order gathers the index's subject-header and triple segments.
     """
+    index = graph_index(graph)
     if order is None:
-        order = identity_order(graph)
-    else:
-        _check_order(graph, order)
+        return index.stream
+    sizes = np.fromiter((len(g) for g in order), dtype=np.int64, count=len(order))
+    flat = np.fromiter((i for g in order for i in g), dtype=np.int64, count=int(sizes.sum()))
+    _check_order(index, flat, sizes)
 
-    tokens: list[str] = [BOS]
-    ent: list[int] = [0]
-    tri: list[int] = [0]
-    sources: list[int] = []
-
-    for gi, group in enumerate(order, start=1):
-        subj = graph.entity_surface(graph.triples[group[0]].subject)
-        subj_toks = subj.split()
-        tokens += [S_TOK] + subj_toks
-        ent += [gi] * (1 + len(subj_toks))
-        tri += [0] * (1 + len(subj_toks))
-        for t_idx in group:
-            sources.append(t_idx)
-            ti = len(sources)
-            _, rel, obj = graph.triple_surfaces(t_idx)
-            rel_toks, obj_toks = rel.split(), obj.split()
-            tokens += [R_TOK] + rel_toks + [O_TOK] + obj_toks
-            span = 2 + len(rel_toks) + len(obj_toks)
-            ent += [gi] * span
-            tri += [ti] * span
-
-    return KnowledgeStream(tuple(tokens), tuple(ent), tuple(tri), tuple(sources))
+    base = index.stream
+    emitted = index.emitted_of[flat]  # identity emitted index of each triple, in the new order
+    firsts = np.cumsum(sizes) - sizes  # each group's first triple within flat
+    groups = np.searchsorted(index.group_ends, emitted[firsts], side="right")  # identity group of each
+    # segments in emission order: each group's header, then its triples
+    is_head = np.zeros(len(order) + flat.size, dtype=bool)
+    is_head[firsts + np.arange(len(order))] = True
+    starts = np.empty(is_head.size, dtype=np.int64)
+    ends = np.empty(is_head.size, dtype=np.int64)
+    starts[is_head] = index.head_starts[groups]
+    ends[is_head] = index.head_ends[groups]
+    starts[~is_head] = base.triple_starts[emitted]
+    ends[~is_head] = base.triple_ends[emitted]
+    lengths = (ends - starts).astype(np.int32)
+    # the output position of a segment's first token, minus its position in the identity stream
+    shift = 1 + np.cumsum(lengths) - lengths - starts
+    positions = np.arange(1, 1 + int(lengths.sum())) - np.repeat(shift, lengths)
+    codes = np.concatenate([base.codes[:1], base.codes[positions]])
+    return _segmented_stream(base.strings, codes, is_head, lengths, tuple(flat.tolist()))
 
 
 # --- input assembly ---------------------------------------------------------
@@ -255,24 +432,22 @@ class InputSequence:
 def truncate_stream(stream: KnowledgeStream, max_tokens: int) -> KnowledgeStream:
     """Drop trailing triples (then whole trailing groups) to fit the budget.
 
-    Cuts the emitted stream at a triple boundary, so no triple is ever split
-    and a subject header survives only together with at least one of its
-    triples. [BOS] is always kept.
+    Cuts the emitted stream at the end of the last triple that fits, so no
+    triple is ever split and a subject header survives only together with at
+    least one of its triples. [BOS] is always kept.
     """
-    if len(stream.tokens) <= max_tokens:
+    if stream.codes.shape[0] <= max_tokens:
         return stream
-    cut = 1  # keep [BOS] at minimum
-    kept_triples = 0
-    prev = 0
-    for p, t in enumerate(stream.triple_ids):
-        if prev != 0 and t != prev and p <= max_tokens:
-            cut, kept_triples = p, prev
-        prev = t
+    kept = int(np.searchsorted(stream.triple_ends, max_tokens, side="right"))
+    cut = int(stream.triple_ends[kept - 1]) if kept else 1
     return KnowledgeStream(
-        stream.tokens[:cut],
+        stream.strings,
+        stream.codes[:cut],
         stream.entity_ids[:cut],
         stream.triple_ids[:cut],
-        stream.triple_sources[:kept_triples],
+        stream.triple_starts[:kept],
+        stream.triple_ends[:kept],
+        stream.triple_sources[:kept],
     )
 
 
@@ -293,13 +468,10 @@ def assemble_input(
     question (generation context).
     """
     stream = truncate_stream(stream, limits.max_knowledge_tokens)
+    knowledge_end = stream.codes.shape[0]  # index of [SEP]
 
-    tokens = list(stream.tokens) + [SEP]
-    ent = list(stream.entity_ids) + [0]
-    tri = list(stream.triple_ids) + [0]
-    typ = [TYPE_KG] * len(tokens)
-    knowledge_end = len(tokens) - 1
-
+    tail: list[str] = [SEP]
+    tail_types: list[int] = [TYPE_KG]
     hist_tokens: list[str] = []
     hist_types: list[int] = []
     for turn in history[len(history) - min(len(history), limits.max_history_turns) :]:
@@ -310,53 +482,46 @@ def assemble_input(
     if len(hist_tokens) > limits.max_history_tokens:
         hist_tokens = hist_tokens[-limits.max_history_tokens :]
         hist_types = hist_types[-limits.max_history_tokens :]
-    tokens += hist_tokens
-    typ += hist_types
-    ent += [0] * len(hist_tokens)
-    tri += [0] * len(hist_tokens)
+    tail += hist_tokens
+    tail_types += hist_types
 
     q_toks = question.split()
-    tokens += [Q_TOK] + q_toks
-    typ += [TYPE_USER] * (1 + len(q_toks))
-    ent += [0] * (1 + len(q_toks))
-    tri += [0] * (1 + len(q_toks))
-    question_start = len(tokens) - len(q_toks)
-    response_start = len(tokens)
+    tail += [Q_TOK] + q_toks
+    tail_types += [TYPE_USER] * (1 + len(q_toks))
+    question_start = knowledge_end + len(tail) - len(q_toks)
+    response_start = knowledge_end + len(tail)
 
     if gold_response is not None:
         g_toks = gold_response.split() + [EOS]
-        tokens += g_toks
-        typ += [TYPE_SYSTEM] * len(g_toks)
-        ent += [0] * len(g_toks)
-        tri += [0] * len(g_toks)
+        tail += g_toks
+        tail_types += [TYPE_SYSTEM] * len(g_toks)
 
-    if len(tokens) > limits.context_limit:
+    n = knowledge_end + len(tail)
+    if n > limits.context_limit:
         raise SequenceTooLongError(
-            f"sample {sample_id!r}: assembled length {len(tokens)} exceeds context limit {limits.context_limit}"
+            f"sample {sample_id!r}: assembled length {n} exceeds context limit {limits.context_limit}"
         )
 
-    spans: dict[int, tuple[int, int]] = {}
-    cur = 0
-    for p, t in enumerate(stream.triple_ids):
-        if t != cur:
-            if cur != 0:
-                spans[cur] = (spans[cur][0], p)
-            if t != 0:
-                spans[t] = (p, p)
-            cur = t
-    if cur != 0:
-        spans[cur] = (spans[cur][0], len(stream.triple_ids))
+    # the graph's unique strings are encoded once; its tokens are codes into them
+    knowledge_ids = np.asarray(vocab.encode(stream.strings), dtype=np.int64)[stream.codes]
+    entity_ids = np.zeros(n, dtype=np.int64)
+    entity_ids[:knowledge_end] = stream.entity_ids
+    triple_ids = np.zeros(n, dtype=np.int64)
+    triple_ids[:knowledge_end] = stream.triple_ids
+    type_ids = np.zeros(n, dtype=np.int64)
+    type_ids[knowledge_end:] = tail_types
+    spans = zip(stream.triple_starts.tolist(), stream.triple_ends.tolist())
 
     seq = InputSequence(
-        token_ids=np.asarray(vocab.encode(tokens), dtype=np.int64),
-        position_ids=np.arange(len(tokens), dtype=np.int64),
-        entity_ids=np.asarray(ent, dtype=np.int64),
-        triple_ids=np.asarray(tri, dtype=np.int64),
-        type_ids=np.asarray(typ, dtype=np.int64),
+        token_ids=np.concatenate([knowledge_ids, np.asarray(vocab.encode(tail), dtype=np.int64)]),
+        position_ids=np.arange(n, dtype=np.int64),
+        entity_ids=entity_ids,
+        triple_ids=triple_ids,
+        type_ids=type_ids,
         knowledge_end=knowledge_end,
         question_start=question_start,
         response_start=response_start,
-        triple_spans=spans,
+        triple_spans=dict(enumerate(spans, start=1)),
         triple_sources=stream.triple_sources,
     )
     seq.validate()

@@ -114,6 +114,111 @@ def naive_knowledge_columns(triples, triple_sources, triple_ids, entity_ids, kno
     return cols
 
 
+def loop_linearize(graph, order=None):
+    """Token-by-token walk of ``[BOS] ([S] subj ([R] rel [O] obj)+)*``.
+
+    ``order`` lists subject groups of triple indices in emission order; the
+    default groups triples by subject in first-appearance order. Returns
+    (tokens, entity_ids, triple_ids, triple_sources) as lists.
+    """
+    if order is None:
+        groups: dict[int, list[int]] = {}
+        for i, t in enumerate(graph.triples):
+            groups.setdefault(t.subject, []).append(i)
+        order = list(groups.values())
+    tokens, ent, tri, sources = ["[BOS]"], [0], [0], []
+    for gi, group in enumerate(order, start=1):
+        subj_toks = graph.entities[graph.triples[group[0]].subject].surface.split()
+        tokens += ["[S]"] + subj_toks
+        ent += [gi] * (1 + len(subj_toks))
+        tri += [0] * (1 + len(subj_toks))
+        for t_idx in group:
+            sources.append(t_idx)
+            t = graph.triples[t_idx]
+            rel_toks = graph.relations[t.relation].surface.split()
+            obj_toks = graph.entities[t.object].surface.split()
+            tokens += ["[R]"] + rel_toks + ["[O]"] + obj_toks
+            span = 2 + len(rel_toks) + len(obj_toks)
+            ent += [gi] * span
+            tri += [len(sources)] * span
+    return tokens, ent, tri, sources
+
+
+def loop_truncate(tokens, ent, tri, sources, max_tokens):
+    """Cut at the last triple boundary within ``max_tokens``, keeping [BOS] at least."""
+    if len(tokens) <= max_tokens:
+        return tokens, ent, tri, sources
+    cut, kept, prev = 1, 0, 0
+    for p, t in enumerate(tri):
+        if prev != 0 and t != prev and p <= max_tokens:
+            cut, kept = p, prev
+        prev = t
+    return tokens[:cut], ent[:cut], tri[:cut], sources[:kept]
+
+
+def loop_spans(tri):
+    """Emitted triple id -> [start, end) token span, by a scan over triple ids."""
+    spans: dict[int, tuple[int, int]] = {}
+    cur = 0
+    for p, t in enumerate(tri):
+        if t != cur:
+            if cur != 0:
+                spans[cur] = (spans[cur][0], p)
+            if t != 0:
+                spans[t] = (p, p)
+            cur = t
+    if cur != 0:
+        spans[cur] = (spans[cur][0], len(tri))
+    return spans
+
+
+def loop_assemble(graph, order, history, question, gold_response, token_to_id, limits):
+    """Every stream and span of an assembled sample, built token by token.
+
+    Types: 0 knowledge, 1 user, 2 system. Returns a dict of lists, or None if
+    the sample is longer than ``limits.context_limit``.
+    """
+    unk = token_to_id["[UNK]"]
+    tokens, ent, tri, sources = loop_truncate(*loop_linearize(graph, order), limits.max_knowledge_tokens)
+    spans = loop_spans(tri)
+    tokens, ent, tri = tokens + ["[SEP]"], ent + [0], tri + [0]
+    typ = [0] * len(tokens)
+    knowledge_end = len(tokens) - 1
+    hist_tokens, hist_types = [], []
+    for turn in history[len(history) - min(len(history), limits.max_history_turns):]:
+        for tok in turn.text.split():
+            hist_tokens.append(tok)
+            hist_types.append(1 if turn.speaker == "user" else 2)
+    if len(hist_tokens) > limits.max_history_tokens:
+        hist_tokens = hist_tokens[-limits.max_history_tokens:]
+        hist_types = hist_types[-limits.max_history_tokens:]
+    q_toks = question.split()
+    tail = hist_tokens + ["[Q]"] + q_toks
+    tail_types = hist_types + [1] * (1 + len(q_toks))
+    if gold_response is not None:
+        g_toks = gold_response.split() + ["[EOS]"]
+        tail += g_toks
+        tail_types += [2] * len(g_toks)
+    tokens += tail
+    typ += tail_types
+    ent += [0] * len(tail)
+    tri += [0] * len(tail)
+    if len(tokens) > limits.context_limit:
+        return None
+    return {
+        "token_ids": [token_to_id.get(t, unk) for t in tokens],
+        "position_ids": list(range(len(tokens))),
+        "entity_ids": ent,
+        "triple_ids": tri,
+        "type_ids": typ,
+        "knowledge_end": knowledge_end,
+        "question_start": knowledge_end + len(hist_tokens) + 2,
+        "response_start": knowledge_end + len(hist_tokens) + 2 + len(q_toks),
+        "triple_spans": spans,
+        "triple_sources": tuple(sources),
+    }
+
+
 def naive_attention(q, k, v, m):
     """Triple-loop masked single-head attention."""
     n, dk = q.shape

@@ -28,7 +28,6 @@ from kgdialog.evaluation import EntityMatcher, entity_counts, entity_f1, evaluat
 from kgdialog.graph_weights import (
     Selection,
     TokenEmbedder,
-    build_bipartite,
     compute_weighted_graph,
     feature_vector,
     relation_weights,
@@ -50,6 +49,7 @@ from kgdialog.sequence import (
     Vocabulary,
     assemble_input,
     build_vocab,
+    graph_index,
     linearize_graph,
 )
 from kgdialog.training import TrainConfig, train
@@ -162,7 +162,7 @@ def test_relation_weight_oracle_equivalence(rng):
         emb = TokenEmbedder(vocab, table)
         question = f"ask q s0 r0"
 
-        bg = build_bipartite(g)
+        bg = graph_index(g)
         x = feature_vector(bg, question, emb)
         got = softmax_map(relation_weights(bg, x))
 

@@ -160,6 +160,27 @@ class TestEval:
             reports.append(path.read_text())
         assert reports[0] == reports[1]
 
+    def test_samples_past_entity_table_refused_not_fatal(self, tmp_path, capsys):
+        small, large, run = tmp_path / "small", tmp_path / "large", tmp_path / "run"
+        for out, subjects in ((small, "2"), (large, "6")):
+            assert main(["synth", "--out", str(out), "--n", "10", "--subjects", subjects,
+                         "--relations", "2", "--seed", "3"]) == 0
+        assert main([
+            "train", "--data", str(small), "--out", str(run), "--quiet", "--epochs", "1",
+            "--d-model", "16", "--n-heads", "2", "--n-layers", "1", "--d-ff", "32", "--max-entity-ids", "4",
+        ]) == 0
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        rc = main(["eval", "--ckpt", str(run / "model.ckpt"), "--data", str(large), "--report", str(report),
+                   "--max-response-length", "4"])
+        assert rc == 0
+        doc = json.loads(report.read_text())
+        refused = [r for r in doc["records"] if "refused" in r]
+        assert refused and doc["config"]["n_refused"] == len(refused)
+        assert all(r["hypothesis"] == "" and "entity ids" in r["refused"] for r in refused)
+        table = capsys.readouterr().out
+        assert f"{'refused':<12}{len(refused):>8d}" in table
+
     def test_vocab_mismatch_exit_3(self, data_dir, run_dir, tmp_path, capsys):
         bad_vocab = tmp_path / "vocab.txt"
         bad_vocab.write_text("[PAD]\n[BOS]\n[EOS]\n[SEP]\n[Q]\n[S]\n[R]\n[O]\n[UNK]\nzzz\n")

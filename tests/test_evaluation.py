@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from kgdialog.corpus import SynthConfig, entity_lexicon, generate_synthetic
+from kgdialog.corpus import DatasetSplit, SynthConfig, entity_lexicon, generate_synthetic
 from kgdialog.evaluation import (
     EntityMatcher,
     entity_counts,
@@ -127,6 +128,23 @@ class TestEvaluate:
         seq = evaluate(state, split, vocab, lexicon, params, TrainConfig(), threads=1)
         par = evaluate(state, split, vocab, lexicon, params, TrainConfig(), threads=2)
         assert [r["hypothesis"] for r in seq.records] == [r["hypothesis"] for r in par.records]
+
+    def test_threads_share_graph_indices(self, setup):
+        """Samples of one dialogue share a graph; with fresh graphs every
+        index is built during the run, by whichever thread gets there first."""
+        state, split, vocab, lexicon = setup
+        params = DecodingParams(temperature=0.9, top_k=5, top_p=0.9, max_response_length=6, seed=3)
+
+        def fresh_graphs():
+            copies = {}
+            return DatasetSplit(split.name, tuple(
+                replace(s, graph=copies.setdefault(id(s.graph), replace(s.graph))) for s in split.samples))
+
+        one = fresh_graphs()
+        assert len({id(s.graph) for s in one.samples}) < len(one.samples)
+        seq = evaluate(state, one, vocab, lexicon, params, TrainConfig(), threads=1)
+        par = evaluate(state, fresh_graphs(), vocab, lexicon, params, TrainConfig(), threads=2)
+        assert seq.to_dict() == par.to_dict()
 
     def test_report_round_trips_to_json(self, setup, tmp_path):
         state, split, vocab, lexicon = setup

@@ -7,7 +7,6 @@ from kgdialog.corpus import Entity, KnowledgeGraph, RelationLabel, Triple, build
 from kgdialog.graph_weights import (
     TokenEmbedder,
     WeightedGraph,
-    build_bipartite,
     compute_weighted_graph,
     feature_vector,
     inspect_dump,
@@ -16,7 +15,7 @@ from kgdialog.graph_weights import (
     select_topk,
     softmax_map,
 )
-from kgdialog.sequence import SPECIAL_TOKENS, Vocabulary
+from kgdialog.sequence import SPECIAL_TOKENS, Vocabulary, graph_index
 
 from oracles import naive_cosine, naive_graph_pipeline, naive_mean_vector
 
@@ -27,6 +26,14 @@ def make_embedder(words, dim=16, seed=5):
     table = np.random.default_rng(seed).normal(size=(len(tokens), dim))
     table[vocab.unk_id] = 0.0
     return vocab, TokenEmbedder(vocab, table)
+
+
+def dense_adjacency(index) -> np.ndarray:
+    """(d_g, d_g) symmetric 0/1 matrix with zero diagonal, from the index's edge list."""
+    a = np.zeros((index.d_g, index.d_g))
+    a[index.edge_entities, index.edge_relations] = 1.0
+    a[index.edge_relations, index.edge_entities] = 1.0
+    return a
 
 
 def words_of(triples):
@@ -42,21 +49,21 @@ class TestScorer:
         for i, w in enumerate(words):
             table[vocab.token_to_id[w], i] = 1.0
         g = build_graph([["starbucks", "near", "home"]])
-        x = feature_vector(build_bipartite(g), "find starbucks", TokenEmbedder(vocab, table))
+        x = feature_vector(graph_index(g), "find starbucks", TokenEmbedder(vocab, table))
         ids = {e.surface: e.id for e in g.entities}
         assert x[ids["starbucks"]] > x[ids["home"]]
 
     def test_unknown_tokens_zero_with_zero_unk_row(self):
         _, emb = make_embedder(["find", "starbucks"])
         g = build_graph([["completely unseen words", "find", "starbucks"]])
-        x = feature_vector(build_bipartite(g), "find starbucks", emb)
+        x = feature_vector(graph_index(g), "find starbucks", emb)
         assert x[g.entities[0].id] == 0.0
 
     def test_feature_vector_matches_naive_cosine_per_node(self):
         triples = [["alpha beta", "r1", "gamma"], ["unseen words", "r2", "alpha"], ["delta", "r1 r2", "beta gamma"]]
         vocab, emb = make_embedder([w for w in words_of(triples) if w not in ("unseen", "words")] + ["which"])
         g = build_graph(triples)
-        bg = build_bipartite(g)
+        bg = graph_index(g)
         question = "which alpha r2 ?"
         x = feature_vector(bg, question, emb)
         unk = list(emb.table[vocab.unk_id])
@@ -64,13 +71,14 @@ class TestScorer:
         rows.update({w: unk for w in ("unseen", "words", "?")})
         qv = naive_mean_vector(question, rows, 16)
         assert x.shape == (bg.d_g,)
-        for i, surface in enumerate(bg.surfaces):
+        surfaces = [e.surface for e in g.entities] + [r.surface for r in g.relations]
+        for i, surface in enumerate(surfaces):
             assert abs(x[i] - naive_cosine(qv, naive_mean_vector(surface, rows, 16))) < 1e-12
-        assert x[bg.surfaces.index("unseen words")] == 0.0  # zero-norm node
+        assert x[surfaces.index("unseen words")] == 0.0  # zero-norm node
 
     def test_zero_norm_question_scores_zero(self):
         _, emb = make_embedder(["s", "r", "o"])
-        bg = build_bipartite(build_graph([["s", "r", "o"]]))
+        bg = graph_index(build_graph([["s", "r", "o"]]))
         np.testing.assert_array_equal(feature_vector(bg, "nothing known", emb), np.zeros(3))
         np.testing.assert_array_equal(feature_vector(bg, "", emb), np.zeros(3))
 
@@ -79,7 +87,7 @@ class TestScorer:
         vocab, emb = make_embedder(words_of(triples) + ["which", "two"])
         g = build_graph(triples)
         question = "which alpha two"
-        x = feature_vector(build_bipartite(g), question, emb)
+        x = feature_vector(graph_index(g), question, emb)
         ids = {e.surface: e.id for e in g.entities}
         rows = {t: list(emb.table[vocab.token_to_id[t]]) for t in vocab.id_to_token}
         from oracles import naive_mean_vector
@@ -93,27 +101,27 @@ class TestScorer:
 
 class TestBipartite:
     def test_single_triple_path_graph(self):
-        bg = build_bipartite(build_graph([["s", "r", "o"]]))
+        bg = graph_index(build_graph([["s", "r", "o"]]))
         assert bg.d_g == 3
-        assert int(bg.adjacency.sum()) == 4  # s-r and r-o, symmetric
+        assert int(dense_adjacency(bg).sum()) == 4  # s-r and r-o, symmetric
 
     def test_shared_subject_shared_relation(self):
         # subject + 2 objects + 1 relation node = 4 nodes, relation degree 3
         g = build_graph([["s", "distance", "o1"], ["s", "distance", "o2"]])
-        bg = build_bipartite(g)
+        bg = graph_index(g)
         assert bg.d_g == 4
         rel_node = bg.n_entities + 0
-        assert bg.adjacency[rel_node].sum() == 3.0
+        assert dense_adjacency(bg)[rel_node].sum() == 3.0
         expected = np.zeros((4, 4))
         s, o1, o2, r = 0, 1, 2, 3
         for a, b in [(s, r), (r, o1), (r, o2)]:
             expected[a, b] = expected[b, a] = 1.0
-        np.testing.assert_array_equal(bg.adjacency, expected)
+        np.testing.assert_array_equal(dense_adjacency(bg), expected)
 
     def test_empty_graph(self):
-        bg = build_bipartite(build_graph([]))
+        bg = graph_index(build_graph([]))
         assert bg.d_g == 0
-        assert bg.adjacency.shape == (0, 0)
+        assert dense_adjacency(bg).shape == (0, 0)
 
     def test_symmetry_and_row_stochasticity(self, rng):
         for _ in range(10):
@@ -123,9 +131,9 @@ class TestBipartite:
                 for i in range(n_s)
                 for j in range(int(rng.integers(1, 4)))
             ]
-            bg = build_bipartite(build_graph(triples))
-            np.testing.assert_array_equal(bg.adjacency, bg.adjacency.T)
-            norm = (bg.adjacency + np.eye(bg.d_g)) / bg.degrees[:, None]
+            bg = graph_index(build_graph(triples))
+            np.testing.assert_array_equal(dense_adjacency(bg), dense_adjacency(bg).T)
+            norm = (dense_adjacency(bg) + np.eye(bg.d_g)) / bg.degrees[:, None]
             np.testing.assert_allclose(norm.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -170,16 +178,16 @@ class TestPropagate:
     )
     def test_matches_dense_reference(self, graph, seed):
         a = loop_adjacency(graph)
-        bg = build_bipartite(graph)
+        bg = graph_index(graph)
         x = np.random.default_rng(seed).normal(size=bg.d_g)
         a_i = a + np.eye(bg.d_g)
         deg = a_i.sum(axis=1)
-        np.testing.assert_array_equal(bg.adjacency, a)
+        np.testing.assert_array_equal(dense_adjacency(bg), a)
         np.testing.assert_array_equal(bg.degrees, deg)
         np.testing.assert_allclose(propagate(bg, x), (a_i @ x) / deg, rtol=0, atol=1e-12)
 
     def test_empty_graph(self):
-        bg = build_bipartite(build_graph([]))
+        bg = graph_index(build_graph([]))
         assert propagate(bg, np.zeros(0)).shape == (0,)
 
 
@@ -187,14 +195,14 @@ class TestRelationWeights:
     def test_single_triple_hand_value(self):
         # X = (1, 0, 0) on (s, o, r): relation node averages itself and both
         # neighbours -> (1 + 0 + 0) / 3
-        bg = build_bipartite(build_graph([["s", "r", "o"]]))
+        bg = graph_index(build_graph([["s", "r", "o"]]))
         x = np.array([1.0, 0.0, 0.0])
         raw = relation_weights(bg, x)
         assert raw == {0: pytest.approx(1.0 / 3.0, abs=1e-15)}
 
     def test_zero_features_zero_weights(self):
         g = build_graph([["s", "r", "o"], ["s", "q", "o2"]])
-        bg = build_bipartite(g)
+        bg = graph_index(g)
         raw = relation_weights(bg, np.zeros(bg.d_g))
         assert all(v == 0.0 for v in raw.values())
 
@@ -202,12 +210,12 @@ class TestRelationWeights:
         # entity mentioned by no triple cannot occur via build_graph, but a
         # lone self-degree node arises in a single-entity graph slice; the
         # (A+I) self loop keeps D invertible for every node anyway
-        bg = build_bipartite(build_graph([["s", "r", "o"]]))
+        bg = graph_index(build_graph([["s", "r", "o"]]))
         assert (bg.degrees > 0).all()
 
     def test_identical_question_and_surface_feature_is_one(self):
         vocab, emb = make_embedder(["route", "distance", "s", "o"])
-        bg = build_bipartite(build_graph([["s", "distance", "o"]]))
+        bg = graph_index(build_graph([["s", "distance", "o"]]))
         x = feature_vector(bg, "distance", emb)
         assert x[bg.n_entities + 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -217,7 +225,7 @@ class TestRelationWeights:
         vocab = Vocabulary(tokens, {t: i for i, t in enumerate(tokens)})
         table = np.eye(len(tokens))
         emb = TokenEmbedder(vocab, table)
-        bg = build_bipartite(build_graph([["s", "r", "o"]]))
+        bg = graph_index(build_graph([["s", "r", "o"]]))
         x = feature_vector(bg, "q", emb)
         np.testing.assert_array_equal(x, np.zeros(3))
 
@@ -321,6 +329,51 @@ class TestWeightedGraph:
         for s in by_surface1:
             assert by_surface1[s] == pytest.approx(by_surface2[s], abs=1e-12)
 
+
+class TestIndexLifetime:
+    """The per-graph index holds nothing of a vocabulary or an embedding table."""
+
+    TRIPLES = [["alpha beta", "near", "gamma"], ["alpha beta", "far from", "delta"], ["delta", "near", "alpha"]]
+
+    def test_in_place_table_update_reaches_a_built_index(self):
+        from kgdialog.model import ModelConfig, init_model
+        from kgdialog.training import TrainConfig, adamw_step
+
+        g = build_graph(self.TRIPLES)
+        vocab, _ = make_embedder(words_of(self.TRIPLES) + ["where"])
+        state = init_model(ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, n_layers=1, d_ff=16), seed=1)
+        emb = TokenEmbedder(vocab, state.params["tok_emb"])
+        before = compute_weighted_graph(g, "where is alpha beta", emb)  # builds g's index
+        rng = np.random.default_rng(0)
+        adamw_step(state, {k: rng.normal(size=v.shape).astype(v.dtype) for k, v in state.params.items()},
+                   TrainConfig(lr=0.1))
+        after = compute_weighted_graph(g, "where is alpha beta", emb)
+        fresh = compute_weighted_graph(build_graph(self.TRIPLES), "where is alpha beta", emb)
+        assert after == fresh
+        assert after != before
+
+    def test_one_graph_two_vocabularies(self):
+        from kgdialog.sequence import AssemblyLimits, assemble_input, linearize_graph
+
+        g = build_graph(self.TRIPLES)
+        words = sorted(set(words_of(self.TRIPLES)))
+        vectors = {w: np.random.default_rng(i).normal(size=4) for i, w in enumerate(words)}
+        weights = []
+        for vocab_words in (words, words[::-1], words[1:]):  # the last leaves "alpha" out: [UNK]
+            tokens = SPECIAL_TOKENS + tuple(vocab_words)
+            vocab = Vocabulary(tokens, {t: i for i, t in enumerate(tokens)})
+            stream = linearize_graph(g)
+            seq = assemble_input(stream, [], "where ?", None, vocab, AssemblyLimits())
+            want = [vocab.token_to_id.get(t, vocab.unk_id) for t in (*stream.tokens, "[SEP]", "[Q]", "where", "?")]
+            assert seq.token_ids.tolist() == want
+            table = np.zeros((len(tokens), 4))
+            for w in vocab_words:
+                table[vocab.token_to_id[w]] = vectors[w]
+            emb = TokenEmbedder(vocab, table)
+            weights.append(compute_weighted_graph(g, "alpha near", emb))
+            assert weights[-1] == compute_weighted_graph(build_graph(self.TRIPLES), "alpha near", emb)
+        assert weights[0] == weights[1]  # the same vector per word under other ids
+        assert weights[2] != weights[0]
 
 class TestSelect:
     def test_topk_basic(self):

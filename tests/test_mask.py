@@ -152,6 +152,20 @@ class TestCompose:
             assert (zero_per_row >= 1).all()
 
 
+    def test_bit_identical_to_cell_by_cell_reference(self, rng):
+        seq = seq_for()
+        for pad in (0, 1, 4):
+            cols = np.where(rng.random(seq.knowledge_end + 1) < 0.4, NEG_INF, 0.0).astype(np.float32)
+            n, total = seq.n, seq.n + pad
+            want = np.full((total, total), NEG_INF, dtype=np.float32)
+            for i in range(n):
+                for j in range(i + 1):
+                    want[i, j] = cols[j] if j < cols.shape[0] else 0.0
+            want[n:, 0] = 0.0
+            got = compose_mask(seq, cols, pad_len=pad).values
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+
 class TestSoftmaxContract:
     def test_nullification_and_normalization(self, rng):
         seq = seq_for()

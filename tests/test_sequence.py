@@ -229,3 +229,162 @@ class TestAssemble:
             return sorted(s.graph.triple_surfaces(src) for src in seq.triple_sources)
         assert multiset(seq_a) == multiset(seq_b)
         assert seq_a.n == seq_b.n
+
+
+# --- the graph index against the token-by-token loop oracle -------------------
+
+WORDS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta")
+INDEX_VOCAB = vocab_over(" ".join(WORDS[:-1]) + " ?")  # "theta" encodes as [UNK]
+INDEX_MODEL = None
+
+
+def index_model():
+    global INDEX_MODEL
+    if INDEX_MODEL is None:
+        from kgdialog.model import ModelConfig, init_model
+
+        cfg = ModelConfig(vocab_size=len(INDEX_VOCAB), d_model=8, n_heads=2, n_layers=1, d_ff=16,
+                          max_positions=1024, max_entity_ids=64, max_triple_ids=256)
+        INDEX_MODEL = init_model(cfg, seed=4)
+    return INDEX_MODEL
+
+
+surfaces = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def multiword_graphs(draw):
+    """Graphs over a small word pool: multi-word surfaces, shared subjects,
+    relations and objects, and words that are the whole of one surface and
+    part of another."""
+    subjects = draw(st.lists(surfaces, min_size=1, max_size=4, unique=True))
+    raw = draw(st.lists(st.tuples(st.sampled_from(subjects), surfaces, surfaces), min_size=0, max_size=12))
+    unique = list(dict.fromkeys(raw))  # build_graph refuses duplicate triples
+    return build_graph([list(t) for t in unique])
+
+
+def turns_strategy():
+    return st.lists(st.tuples(st.booleans(), surfaces), max_size=4).map(
+        lambda ts: tuple(DialogueTurn("user" if u else "system", text) for u, text in ts))
+
+
+def seq_fields(seq):
+    return {
+        "token_ids": seq.token_ids.tolist(),
+        "position_ids": seq.position_ids.tolist(),
+        "entity_ids": seq.entity_ids.tolist(),
+        "triple_ids": seq.triple_ids.tolist(),
+        "type_ids": seq.type_ids.tolist(),
+        "knowledge_end": seq.knowledge_end,
+        "question_start": seq.question_start,
+        "response_start": seq.response_start,
+        "triple_spans": seq.triple_spans,
+        "triple_sources": seq.triple_sources,
+    }
+
+
+class TestIndexMatchesLoopOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(multiword_graphs(), st.sampled_from(["none", "identity", "shuffled"]), st.integers(0, 2**32 - 1))
+    def test_linearize_and_truncate(self, graph, order_kind, seed):
+        from kgdialog.sequence import truncate_stream
+        from oracles import loop_linearize, loop_truncate
+
+        order = {"none": None, "identity": identity_order(graph),
+                 "shuffled": shuffled_order(graph, np.random.default_rng(seed))}[order_kind]
+        stream = linearize_graph(graph, order)
+        expected = loop_linearize(graph, order)
+        got = (list(stream.tokens), stream.entity_ids.tolist(), stream.triple_ids.tolist(), list(stream.triple_sources))
+        assert got == expected
+        assert len(stream.triple_starts) == len(stream.triple_ends) == len(stream.triple_sources)
+
+        ends = [p for p in range(1, len(expected[2])) if expected[2][p - 1] != 0 and expected[2][p] != expected[2][p - 1]]
+        ends.append(len(expected[2]))
+        budgets = {0, 1, len(expected[0]), len(expected[0]) + 1} | {e + d for e in ends for d in (-1, 0, 1)}
+        for budget in sorted(budgets):
+            cut = truncate_stream(stream, budget)
+            want = loop_truncate(*expected, budget)
+            assert (list(cut.tokens), cut.entity_ids.tolist(), cut.triple_ids.tolist(),
+                    list(cut.triple_sources)) == want, budget
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        multiword_graphs(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        turns_strategy(),
+        surfaces,
+        st.one_of(st.none(), surfaces),
+        st.integers(0, 3),
+        st.integers(1, 10),
+        st.booleans(),
+        st.sampled_from([40, 400]),
+    )
+    def test_assembled_sample(self, graph, shuffle, seed, history, question, gold, turns, hist_tokens,
+                              use_kg_mask, context_limit):
+        from kgdialog.corpus import DialogueSample
+        from kgdialog.graph_weights import TokenEmbedder, compute_weighted_graph, select_topk
+        from kgdialog.masking import NEG_INF
+        from kgdialog.training import build_sample_inputs
+        from oracles import loop_assemble, loop_linearize, naive_knowledge_columns
+
+        order = shuffled_order(graph, np.random.default_rng(seed)) if shuffle else None
+        tri = loop_linearize(graph, order)[2]
+        ends = [p for p in range(1, len(tri)) if tri[p - 1] != 0 and tri[p] != tri[p - 1]] + [len(tri)]
+        # on, one before and one after every triple boundary; 0 and 1 keep only [BOS]
+        budgets = sorted({0, 1} | {e + d for e in ends for d in (-1, 0, 1)})
+        sample = DialogueSample("s", "d", graph, history, question, gold or "")
+        state = index_model()
+        weights = compute_weighted_graph(graph, question, TokenEmbedder(INDEX_VOCAB, state.params["tok_emb"]))
+        sel = select_topk(weights, 2, 2)
+        for budget in budgets:
+            limits = AssemblyLimits(max_knowledge_tokens=budget, max_history_tokens=hist_tokens,
+                                    max_history_turns=turns, context_limit=context_limit)
+            expected = loop_assemble(graph, order, history, question, gold, INDEX_VOCAB.token_to_id, limits)
+            if expected is None:
+                with pytest.raises(SequenceTooLongError):
+                    build_sample_inputs(sample, INDEX_VOCAB, state, 2, 2, use_kg_mask, limits, order=order,
+                                        with_gold=gold is not None)
+                continue
+            seq, cols = build_sample_inputs(sample, INDEX_VOCAB, state, 2, 2, use_kg_mask, limits, order=order,
+                                            with_gold=gold is not None)
+            assert seq_fields(seq) == expected, budget
+            if use_kg_mask and graph.triples:
+                want = naive_knowledge_columns(
+                    [(t.subject, t.relation, t.object) for t in graph.triples], seq.triple_sources,
+                    seq.triple_ids, seq.entity_ids, seq.knowledge_end, sel.top_entities, sel.top_relations,
+                    NEG_INF)
+                assert cols.tolist() == want, budget
+            else:
+                assert cols.tolist() == [0.0] * (seq.knowledge_end + 1), budget
+
+
+def test_index_built_by_racing_threads_is_one_index():
+    """Threads that find a graph unindexed may each build its index; every
+    one of them must get the same index, and the graph keeps one of those."""
+    import sys
+    import threading
+
+    from kgdialog.sequence import graph_index
+
+    triples = [[f"s{i % 7}", f"r{i % 3}", f"o{i} x"] for i in range(60)]
+    want = linearize_graph(build_graph(triples))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            graph = build_graph(triples)
+            got = []
+            threads = [threading.Thread(target=lambda: got.append(graph_index(graph))) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads) and len(got) == 8
+            assert graph_index(graph) in got
+            for index in got:
+                assert index.stream.tokens == want.tokens
+                assert index.stream.triple_sources == want.triple_sources
+                assert index.node_codes.tolist() == graph_index(graph).node_codes.tolist()
+    finally:
+        sys.setswitchinterval(interval)
