@@ -2,8 +2,9 @@
 
 Every configuration key has a default, can be set from a JSON config file
 (``--config`` or the KGDIALOG_CONFIG environment variable), and can be
-overridden by a flag of the same name. Exit codes: 0 success, 2 file or
-format errors, 3 vocabulary mismatch.
+overridden by a flag of the same name. Exit codes: 0 success, 2 bad input
+(a missing or malformed file, a bad flag or config value, an inspect
+question too long for the context), 3 vocabulary mismatch.
 """
 
 from __future__ import annotations
@@ -178,6 +179,10 @@ def resolve_config(args: argparse.Namespace, base: dict | None = None) -> RunCon
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
+    try:  # each derived config checks its own values; the vocabulary size is not known yet
+        cfg.model_config(vocab_size=1), cfg.train_config(), cfg.decoding()
+    except ValueError as e:
+        raise SchemaError(f"invalid config: {e}") from None
     return cfg
 
 
@@ -254,13 +259,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_k(value: str) -> int:
-    if value.strip().lower() == "all":
-        return 10**9
-    k = int(value)
-    if k < 0:
-        raise ValueError("k must be >= 0 or 'all'")
-    return k
+def _parse_k_grid(value: str) -> list[int]:
+    """Comma list of k values, each an integer >= 0 or 'all'."""
+    ks = [v.strip().lower() for v in value.split(",")]
+    bad = [v for v in ks if v != "all" and not (v.isascii() and v.isdigit())]
+    if bad:
+        raise argparse.ArgumentTypeError(f"k must be an integer >= 0 or 'all', not {bad[0]!r}")
+    return [10**9 if v == "all" else int(v) for v in ks]
 
 
 def _eval_once(state, split, vocab, lexicon, cfg: RunConfig, args, k_entity: int, k_relation: int):
@@ -282,13 +287,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         lex_splits.append(corpus.load_dataset(train_path, "train"))
     lexicon = corpus.entity_lexicon(lex_splits)
 
-    pairs: list[tuple[int, int]]
-    if args.k_entity_grid or args.k_relation_grid:
-        ke_list = [_parse_k(v) for v in (args.k_entity_grid or str(cfg.k_entity)).split(",")]
-        kr_list = [_parse_k(v) for v in (args.k_relation_grid or str(cfg.k_relation)).split(",")]
-        pairs = [(ke, kr) for ke in ke_list for kr in kr_list]
-    else:
-        pairs = [(cfg.k_entity, cfg.k_relation)]
+    ke_list, kr_list = args.k_entity_grid or [cfg.k_entity], args.k_relation_grid or [cfg.k_relation]
+    pairs = [(ke, kr) for ke in ke_list for kr in kr_list]
 
     report_path = Path(args.report)
     for ke, kr in pairs:
@@ -414,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", default=None, help="vocab file (default: vocab.txt next to --ckpt)")
     p.add_argument("--hyp-from-gold", action="store_true", help="self-evaluation: score gold against gold")
     p.add_argument("--max-samples", type=int, default=None, help="cap evaluated samples")
-    p.add_argument("--k-entity-grid", default=None, help="comma list of k values or 'all'")
-    p.add_argument("--k-relation-grid", default=None, help="comma list of k values or 'all'")
+    p.add_argument("--k-entity-grid", type=_parse_k_grid, default=None, help="comma list of k values or 'all'")
+    p.add_argument("--k-relation-grid", type=_parse_k_grid, default=None, help="comma list of k values or 'all'")
     _add_config_flags(p)
     p.set_defaults(func=cmd_eval)
 
@@ -445,7 +445,8 @@ def main(argv: list[str] | None = None) -> int:
     except VocabMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, SchemaError, ValidationError, CheckpointError, json.JSONDecodeError) as e:
+    except (FileNotFoundError, SchemaError, ValidationError, CheckpointError, json.JSONDecodeError,
+            SequenceTooLongError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -77,9 +77,6 @@ class KnowledgeGraph:
     def n_relations(self) -> int:
         return len(self.relations)
 
-    def entity_surface(self, eid: int) -> str:
-        return self.entities[eid].surface
-
     def triple_surfaces(self, idx: int) -> tuple[str, str, str]:
         t = self.triples[idx]
         return (

@@ -7,7 +7,8 @@ tied to the token table. Forward caches every intermediate needed by the
 hand-written backward pass, which is validated against central finite
 differences in the test suite. Decoding prefills a per-call ``KVCache`` with
 the keys and values of the context positions the knowledge mask leaves
-visible, then computes one new row per step.
+visible, then computes one new row per step; the cache holds only rows every
+later row may read, so cached calls take no mask.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import NEG_INF, AttentionMask, causal_key_columns
+from .masking import NEG_INF, AttentionMask
 from .sequence import InputSequence, SequenceTooLongError
 
 
@@ -126,10 +127,6 @@ def init_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelState:
     return ModelState(cfg, params)
 
 
-def cast_state(state: ModelState, dtype) -> ModelState:
-    return ModelState(state.cfg, {k: v.astype(dtype) for k, v in state.params.items()})
-
-
 # --- primitive ops ----------------------------------------------------------
 
 _LN_EPS = 1e-5
@@ -188,14 +185,14 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, m: np.ndarray) -> tup
 
 @dataclass
 class Batch:
-    """Padded index streams for a list of sequences, plus per-sample masks."""
+    """Padded index streams for a list of sequences, plus per-sample masks (None for cached calls)."""
 
     tok: np.ndarray  # (B, n) int64
     pos: np.ndarray
     ent: np.ndarray
     tri: np.ndarray
     typ: np.ndarray
-    mask: np.ndarray  # (B, n, n) float32 additive
+    mask: np.ndarray | None = None  # (B, n, n) float32 additive
     targets: np.ndarray | None = None  # (B, n) int64 aligned to logit rows; -1 = ignore
 
     @property
@@ -249,22 +246,24 @@ def _check_bounds(batch: Batch, cfg: ModelConfig) -> None:
 
 @dataclass
 class KVCache:
-    """Per-layer attention keys and values of rows ``[:length]`` of one decode.
+    """Per-layer attention keys and values of the rows one decode computed.
 
-    ``k`` and ``v`` are (n_layers, 1, n_heads, capacity, d_head). A cache
-    belongs to one ``sample_response`` call; nothing is shared between calls.
-    ``length`` may start past rows that are never computed: their buffers
-    stay zero, and the mask keeps their key columns at ``NEG_INF``.
+    ``k`` and ``v`` are (n_layers, 1, n_heads, capacity, d_head); slot ``j``
+    holds batch row ``skip + j``. The first ``skip`` batch rows are never
+    computed or stored: ``sample_response`` packs there the context rows whose
+    keys the knowledge mask hides. Every stored row is visible to every later
+    one. A cache belongs to one ``sample_response`` call; nothing is shared.
     """
 
     k: np.ndarray
     v: np.ndarray
-    length: int = 0
+    skip: int = 0
+    rows: int = 0
 
     @classmethod
-    def empty(cls, cfg: ModelConfig, capacity: int, dtype) -> "KVCache":
+    def empty(cls, cfg: ModelConfig, capacity: int, dtype, skip: int = 0) -> "KVCache":
         shape = (cfg.n_layers, 1, cfg.n_heads, capacity, cfg.d_head)
-        return cls(np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
+        return cls(np.empty(shape, dtype=dtype), np.empty(shape, dtype=dtype), skip)
 
 
 def _dropout_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
@@ -293,11 +292,12 @@ def forward_batch(
 ):
     """Run the transformer; returns (logits, cache) with cache for backward.
 
-    With a ``kv`` cache holding the keys and values of rows ``[:kv.length]``,
-    only rows ``[kv.length:n]`` of ``batch`` are computed: their keys and
-    values are written into the cache, they attend to keys ``[:n]``, and the
-    logits returned are theirs alone. The cache then covers ``[:n]``. Cached
-    calls are eval-mode only and return no backward cache (None).
+    With a ``kv`` cache, only rows ``[kv.skip + kv.rows:n]`` of ``batch`` are
+    computed. Every row the cache stores is visible to them, so the call reads
+    no mask: the new rows attend to the stored rows and, causally by slot, to
+    each other, and their keys and values are appended to the cache. The
+    logits returned are the new rows' alone. Cached calls are eval-mode only
+    and return no backward cache (None).
     """
     cfg, p = state.cfg, state.params
     bsz, n = batch.shape
@@ -305,12 +305,12 @@ def forward_batch(
     if kv is not None:
         if train:
             raise ValueError("a KV cache serves eval-mode forward passes only")
-        start = kv.length
-        if kv.k.shape[1] != bsz or not start < n <= kv.k.shape[3]:
+        start = kv.skip + kv.rows
+        if kv.k.shape[1] != bsz or not start < n <= kv.skip + kv.k.shape[3]:
             raise ValueError(f"batch of {bsz} x {n} does not extend a KV cache of {kv.k.shape[1]} x {start}")
-        batch = Batch(  # the new rows, with their mask rows over all n keys
+        batch = Batch(  # the new rows only
             batch.tok[:, start:], batch.pos[:, start:], batch.ent[:, start:], batch.tri[:, start:],
-            batch.typ[:, start:], batch.mask[:, start:, :],
+            batch.typ[:, start:],
         )
     _check_bounds(batch, cfg)
     dt = state.dtype
@@ -326,7 +326,11 @@ def forward_batch(
         h = h * emb_drop
 
     rows = n - start
-    add_mask = batch.mask.astype(dt)[:, None, :, :]  # broadcast over heads
+    if kv is None:
+        add_mask = batch.mask.astype(dt)[:, None, :, :]  # broadcast over heads
+    else:  # new row r sits in slot kv.rows + r and reads the slots up to it
+        filled = kv.rows + rows
+        add_mask = np.triu(np.full((rows, filled), NEG_INF, dtype=dt), kv.rows + 1)
     layers = []
     for i in range(cfg.n_layers):
         pre = f"h{i}."
@@ -335,9 +339,9 @@ def forward_batch(
         k = (a_in @ p[pre + "attn.wk"] + p[pre + "attn.bk"]).reshape(bsz, rows, nh, dh).transpose(0, 2, 1, 3)
         v = (a_in @ p[pre + "attn.wv"] + p[pre + "attn.bv"]).reshape(bsz, rows, nh, dh).transpose(0, 2, 1, 3)
         if kv is not None:
-            kv.k[i, :, :, start:n] = k
-            kv.v[i, :, :, start:n] = v
-            k, v = kv.k[i, :, :, :n], kv.v[i, :, :, :n]
+            kv.k[i, :, :, kv.rows : filled] = k
+            kv.v[i, :, :, kv.rows : filled] = v
+            k, v = kv.k[i, :, :, :filled], kv.v[i, :, :, :filled]
         ctx, probs = attention(q, k, v, add_mask)
         ctx = ctx.transpose(0, 2, 1, 3).reshape(bsz, rows, cfg.d_model)
         attn_out = ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
@@ -372,7 +376,7 @@ def forward_batch(
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
     if kv is not None:
-        kv.length = n
+        kv.rows = filled
         return logits, None
 
     cache = dict(batch=batch, emb_drop=emb_drop, ln_e=ln_e_cache, layers=layers, hf=hf, ln_f=ln_f_cache)
@@ -573,12 +577,15 @@ def sample_response(
     into the token row. The key columns of the last context row of ``mask``
     apply to every step under causality, so a context key they hide is read
     by no query. Those hidden rows are packed first, each keeping its
-    position id, and the cache starts past them: decoding computes only the
-    context positions the knowledge mask leaves visible (the last context
-    row, whose logits pick the first token, always among them). The first
-    call prefills the cache with the visible rows' keys and values; every
-    later call computes only the one new row against the cached keys.
-    Appended positions carry entity/triple id 0 and SYSTEM type. Returns the
+    position id, and the cache skips them: decoding computes and stores only
+    the context positions the knowledge mask leaves visible, and as every
+    stored row is visible to every later one, no mask is built. The hidden
+    rows stay in the batch, unread, only so that each call keeps the shape
+    the perfbench tracer counts (the context plus the tokens decoded so far).
+    The first call prefills the cache with the visible rows; every later call
+    computes only the one new row. A mask that hides the last context key is
+    refused (ValueError): that row's logits pick the first token. Appended
+    positions carry entity/triple id 0 and SYSTEM type. Returns the
     generated ids without the terminating [EOS].
     """
     n0 = seq.n
@@ -588,14 +595,11 @@ def sample_response(
             f"context of {n0} tokens plus max_response_length {params.max_response_length} "
             f"exceeds max_positions {state.cfg.max_positions}"
         )
+    visible = mask.values[n0 - 1, :n0] != NEG_INF  # the last context row holds the key-column pattern
+    if not visible[-1]:
+        raise ValueError("the mask hides the last context key, whose row picks the first token")
     rng = np.random.default_rng(params.seed)
-
-    last = mask.values[n0 - 1, :n0]  # last context row holds the key-column pattern
-    visible = last != NEG_INF
-    visible[-1] = True  # its logits pick the first token
     order = np.argsort(visible, kind="stable")  # hidden rows first, then visible ones in order
-    cols = np.zeros(total, dtype=np.float32)
-    cols[:n0] = last[order]
 
     def stream(ids: np.ndarray, fill: int) -> np.ndarray:
         row = np.full((1, total), fill, dtype=np.int64)
@@ -604,27 +608,16 @@ def sample_response(
 
     pos = np.arange(total, dtype=np.int64)[None, :]
     pos[0, :n0] = order
-    packed = Batch(
-        tok=stream(seq.token_ids, 0),
-        pos=pos,
-        ent=stream(seq.entity_ids, 0),
-        tri=stream(seq.triple_ids, 0),
-        typ=stream(seq.type_ids, type_system),
-        mask=causal_key_columns(cols)[None, :, :],
-    )
-
-    kv = KVCache.empty(state.cfg, total, state.dtype)
-    kv.length = n0 - int(np.count_nonzero(visible))  # hidden rows: never computed, never read
+    tok, ent, tri, typ = (stream(seq.token_ids, 0), stream(seq.entity_ids, 0), stream(seq.triple_ids, 0),
+                          stream(seq.type_ids, type_system))
+    hidden = n0 - int(np.count_nonzero(visible))
+    kv = KVCache.empty(state.cfg, total - hidden, state.dtype, skip=hidden)
     out: list[int] = []
     for n in range(n0, total):
-        prefix = Batch(
-            packed.tok[:, :n], packed.pos[:, :n], packed.ent[:, :n], packed.tri[:, :n], packed.typ[:, :n],
-            packed.mask[:, :n, :n],
-        )
-        logits, _ = forward_batch(state, prefix, kv=kv)
-        tok = sample_next(logits[0, -1], params, rng)
-        if tok == eos_id:
+        logits, _ = forward_batch(state, Batch(tok[:, :n], pos[:, :n], ent[:, :n], tri[:, :n], typ[:, :n]), kv=kv)
+        tok_id = sample_next(logits[0, -1], params, rng)
+        if tok_id == eos_id:
             break
-        out.append(tok)
-        packed.tok[0, n] = tok
+        out.append(tok_id)
+        tok[0, n] = tok_id
     return out

@@ -74,9 +74,6 @@ class Vocabulary:
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return list(map(self.token_to_id.get, tokens, repeat(self.unk_id)))
 
-    def encode_text(self, text: str) -> list[int]:
-        return self.encode(text.split())
-
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self.id_to_token[i] for i in ids]
 
@@ -479,9 +476,8 @@ def assemble_input(
         for tok in turn.text.split():
             hist_tokens.append(tok)
             hist_types.append(t_type)
-    if len(hist_tokens) > limits.max_history_tokens:
-        hist_tokens = hist_tokens[-limits.max_history_tokens :]
-        hist_types = hist_types[-limits.max_history_tokens :]
+    drop = max(len(hist_tokens) - limits.max_history_tokens, 0)  # oldest first; [-0:] would keep every token
+    hist_tokens, hist_types = hist_tokens[drop:], hist_types[drop:]
     tail += hist_tokens
     tail_types += hist_types
 

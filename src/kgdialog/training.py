@@ -56,6 +56,10 @@ class TrainConfig:
     use_kg_mask: bool = True
     limits: AssemblyLimits = field(default_factory=AssemblyLimits)
 
+    def __post_init__(self) -> None:
+        if self.k_entity < 0 or self.k_relation < 0:
+            raise ValueError("k_entity and k_relation must be >= 0")
+
 
 def adamw_step(state: ModelState, grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:
     """Adam with decoupled weight decay; constant lr after optional warmup."""

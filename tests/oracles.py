@@ -189,9 +189,9 @@ def loop_assemble(graph, order, history, question, gold_response, token_to_id, l
         for tok in turn.text.split():
             hist_tokens.append(tok)
             hist_types.append(1 if turn.speaker == "user" else 2)
-    if len(hist_tokens) > limits.max_history_tokens:
-        hist_tokens = hist_tokens[-limits.max_history_tokens:]
-        hist_types = hist_types[-limits.max_history_tokens:]
+    while len(hist_tokens) > limits.max_history_tokens:
+        hist_tokens.pop(0)
+        hist_types.pop(0)
     q_toks = question.split()
     tail = hist_tokens + ["[Q]"] + q_toks
     tail_types = hist_types + [1] * (1 + len(q_toks))

@@ -254,6 +254,46 @@ class TestInspect:
         assert rc == 2
 
 
+class TestBadInput:
+    """Bad input exits with code 2 and an ``error:`` message, never a traceback."""
+
+    def test_over_long_inspect_question(self, run_dir, tmp_path, capsys):
+        kg = tmp_path / "kg.json"
+        kg.write_text(json.dumps({"triples": [["starbucks", "distance", "4 miles"]]}))
+        rc = main(["inspect", "--ckpt", str(run_dir / "model.ckpt"), "--kg", str(kg),
+                   "--question", " ".join(["what"] * 500), "--dump-mask"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["abc", "-1", "1,,2"])
+    def test_bad_k_grid(self, data_dir, run_dir, tmp_path, capsys, grid):
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "--ckpt", str(run_dir / "model.ckpt"), "--data", str(data_dir),
+                  "--report", str(tmp_path / "r.json"), f"--k-entity-grid={grid}"])
+        assert e.value.code == 2
+        assert "error: argument --k-entity-grid" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k-entity", "-3"], "k_entity"),
+        (["--temperature", "0"], "temperature"),
+    ])
+    def test_bad_eval_config_value(self, data_dir, run_dir, tmp_path, capsys, flags, message):
+        rc = main(["eval", "--ckpt", str(run_dir / "model.ckpt"), "--data", str(data_dir),
+                   "--report", str(tmp_path / "r.json"), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: invalid config" in err and message in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_heads_not_dividing_width(self, data_dir, tmp_path, capsys):
+        rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet",
+                   "--epochs", "1", "--d-model", "30", "--n-heads", "4"])
+        assert rc == 2
+        assert "error: invalid config: d_model 30 not divisible by n_heads 4" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestChat:
     def run_chat(self, run_dir, tmp_path, monkeypatch, lines, max_response_length=5):
         import io

@@ -8,8 +8,6 @@ from kgdialog.corpus import build_graph
 from kgdialog.graph_weights import Selection
 from kgdialog.masking import (
     NEG_INF,
-    AttentionMask,
-    causal_key_columns,
     compose_mask,
     knowledge_column_mask,
     unmasked_columns,
@@ -21,7 +19,6 @@ from kgdialog.model import (
     ModelConfig,
     attention,
     backward,
-    cast_state,
     embed,
     forward,
     forward_batch,
@@ -79,7 +76,7 @@ def masked_triple_columns(seq):
 class TestEmbed:
     def test_layernorm_statistics(self):
         seq = make_seq()
-        state = cast_state(make_model(), np.float64)
+        state = init_model(make_model().cfg, seed=3, dtype=np.float64)
         # unit-scale tables so the 1e-5 norm epsilon is negligible relative to
         # the input variance; gamma=1 beta=0 at init means post == pre-affine
         rng = np.random.default_rng(0)
@@ -188,7 +185,7 @@ class TestForward:
     def test_matches_dense_float64_reference(self, rng):
         # independent single-sequence re-implementation with plain loops over heads
         seq = make_seq()
-        state = cast_state(make_model(d_model=8, n_heads=2, d_ff=16), np.float64)
+        state = init_model(make_model(d_model=8, n_heads=2, d_ff=16).cfg, seed=3, dtype=np.float64)
         mask = full_mask(seq)
         logits = forward(seq, mask, state)
 
@@ -293,7 +290,7 @@ class TestLoss:
 class TestBackward:
     def test_unused_embedding_row_zero_grad(self):
         seq = make_seq()
-        state = cast_state(make_model(), np.float64)
+        state = init_model(make_model().cfg, seed=3, dtype=np.float64)
         _, grads = backward(state, seq, full_mask(seq))
         used = set(seq.token_ids.tolist())
         unused = [i for i in range(len(VOCAB)) if i not in used]
@@ -306,7 +303,7 @@ class TestBackward:
 
     def test_finite_difference_agreement(self, rng):
         seq = make_seq()
-        state = cast_state(make_model(), np.float64)
+        state = init_model(make_model().cfg, seed=3, dtype=np.float64)
         mask = full_mask(seq)
         value, grads = backward(state, seq, mask)
 
@@ -408,10 +405,11 @@ class TestSampling:
         seq = make_seq(gold=None)
         state = scaled_model()
         params = DecodingParams(top_k=1, max_response_length=4)
-        calls: list[tuple[int, int]] = []  # (cache length before the call, prefix length)
+        calls: list[tuple[int, int]] = []  # (first row computed, prefix length)
 
         def recording(state, batch, train=False, rng=None, kv=None):
-            calls.append((kv.length, batch.shape[1]))
+            calls.append((kv.skip + kv.rows, batch.shape[1]))
+            assert batch.mask is None
             return forward_batch(state, batch, train=train, rng=rng, kv=kv)
 
         monkeypatch.setattr("kgdialog.model.forward_batch", recording)
@@ -426,24 +424,12 @@ class TestSampling:
         sample_response(state, seq, full_mask(seq), params, VOCAB.eos_id)
         assert calls[0] == (0, seq.n)
 
-    def test_last_context_row_computed_when_its_key_is_hidden(self, monkeypatch):
+    def test_mask_hiding_last_context_key_refused(self):
         seq = make_seq(gold=None)
-        state = scaled_model()
-        knowledge = masked_triple_columns(seq)
-        cols = np.zeros(seq.n, dtype=np.float32)
-        cols[: knowledge.shape[0]] = knowledge
-        cols[-1] = NEG_INF  # no query reads the last context key, yet its row picks the first token
-        mask = AttentionMask(causal_key_columns(cols), seq.n)
-        seen = []
-
-        def recording(logits, params, rng):
-            seen.append(logits)
-            return sample_next(logits, params, rng)
-
-        monkeypatch.setattr("kgdialog.model.sample_next", recording)
-        sample_response(state, seq, mask, DecodingParams(top_k=1, max_response_length=1), VOCAB.eos_id)
-        want = forward(seq, mask, state)[-1]
-        np.testing.assert_allclose(seen[0], want, rtol=1e-5, atol=1e-5 * float(np.abs(want).max()))
+        mask = compose_mask(seq, masked_triple_columns(seq))
+        mask.values[seq.n - 1, seq.n - 1] = NEG_INF  # no query reads the key whose row picks the first token
+        with pytest.raises(ValueError, match="last context key"):
+            sample_response(make_model(), seq, mask, DecodingParams(max_response_length=1), VOCAB.eos_id)
 
     def test_respects_max_response_length(self):
         seq = make_seq(gold=None)
@@ -459,21 +445,22 @@ class TestKVCache:
         state = scaled_model(n_layers=2)
         mask = compose_mask(seq, masked_triple_columns(seq))
         full = forward(seq, mask, state)
+        visible = mask.values[seq.n - 1] != NEG_INF
+        order = np.argsort(visible, kind="stable")  # hidden rows first, each with its own position id
+        hidden = seq.n - int(np.count_nonzero(visible))
+        assert 0 < hidden < seq.n - 5
         packed = pack_batch([seq], [mask], False)
-        kv = KVCache.empty(state.cfg, seq.n, state.dtype)
+        streams = [a[:, order] for a in (packed.tok, packed.pos, packed.ent, packed.tri, packed.typ)]
+        kv = KVCache.empty(state.cfg, seq.n - hidden, state.dtype, skip=hidden)
         # prefill, two single-row steps, then one 3-row chunk
         for n in (seq.n - 5, seq.n - 4, seq.n - 3, seq.n):
-            prefix = Batch(
-                packed.tok[:, :n], packed.pos[:, :n], packed.ent[:, :n], packed.tri[:, :n], packed.typ[:, :n],
-                packed.mask[:, :n, :n],
-            )
-            start = kv.length
-            logits, cache = forward_batch(state, prefix, kv=kv)
-            assert cache is None and kv.length == n
+            start = kv.skip + kv.rows
+            logits, cache = forward_batch(state, Batch(*(a[:, :n] for a in streams)), kv=kv)
+            assert cache is None and kv.skip + kv.rows == n
             assert logits.shape == (1, n - start, len(VOCAB))
             # float32 sums run in another order over fewer rows; a logit near zero is judged
             # against its row's scale rather than its own
-            want = full[start:n]
+            want = full[order[start:n]]
             np.testing.assert_allclose(logits[0], want, rtol=1e-5, atol=1e-5 * float(np.abs(want).max()))
 
     def test_train_mode_and_stale_batches_refused(self):
@@ -483,7 +470,7 @@ class TestKVCache:
         kv = KVCache.empty(state.cfg, seq.n, state.dtype)
         with pytest.raises(ValueError):
             forward_batch(state, batch, train=True, rng=np.random.default_rng(0), kv=kv)
-        assert kv.length == 0
+        assert kv.rows == 0
         forward_batch(state, batch, kv=kv)
         with pytest.raises(ValueError):  # holds no row past the cache
             forward_batch(state, batch, kv=kv)

@@ -182,6 +182,15 @@ class TestAssemble:
         assert hist == ["i", "j", "k", "l"]
         assert list(seq.type_ids[seq.knowledge_end + 1 : seq.knowledge_end + 5]) == [TYPE_SYSTEM] * 4
 
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    def test_history_token_budget_keeps_at_most_budget(self, budget):
+        history = (DialogueTurn("user", "a b c"), DialogueTurn("system", "d e"))
+        stream = linearize_graph(build_graph([["s", "r", "o"]]))
+        vocab = vocab_over("s r o a b c d e q ?")
+        seq = assemble_input(stream, history, "q ?", None, vocab, AssemblyLimits(max_history_tokens=budget))
+        hist = vocab.decode(seq.token_ids[seq.knowledge_end + 1 : seq.question_start - 1])
+        assert hist == ["a", "b", "c", "d", "e"][5 - budget :]
+
     def test_knowledge_truncation_drops_whole_triples(self):
         g = build_graph(
             [["s1", "r1", "o1"], ["s1", "r2", "o2"], ["s1", "r3", "o3"]]
@@ -316,7 +325,7 @@ class TestIndexMatchesLoopOracle:
         surfaces,
         st.one_of(st.none(), surfaces),
         st.integers(0, 3),
-        st.integers(1, 10),
+        st.integers(0, 10),
         st.booleans(),
         st.sampled_from([40, 400]),
     )
