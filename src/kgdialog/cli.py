@@ -3,8 +3,8 @@
 Every configuration key has a default, can be set from a JSON config file
 (``--config`` or the KGDIALOG_CONFIG environment variable), and can be
 overridden by a flag of the same name. Exit codes: 0 success, 2 bad input
-(a missing or malformed file, a bad flag or config value, an inspect
-question too long for the context), 3 vocabulary mismatch.
+(a missing or malformed file, a bad flag, config value or synth setting, an
+inspect question too long for the context), 3 vocabulary mismatch.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus, evaluation, graph_weights, masking, training
 from .checkpoint import CheckpointError, VocabMismatchError, load_checkpoint, save_checkpoint
 from .corpus import SchemaError, SynthConfig, ValidationError
-from .model import DecodingParams, ModelConfig, ModelState, sample_response
+from .model import DecodingParams, ModelConfig, ModelState
 from .sequence import (
     AssemblyLimits,
     SequenceTooLongError,
@@ -183,6 +181,8 @@ def resolve_config(args: argparse.Namespace, base: dict | None = None) -> RunCon
         cfg.model_config(vocab_size=1), cfg.train_config(), cfg.decoding()
     except ValueError as e:
         raise SchemaError(f"invalid config: {e}") from None
+    if cfg.min_freq < 1:
+        raise SchemaError(f"invalid config: min_freq must be >= 1, not {cfg.min_freq}")
     return cfg
 
 
@@ -213,8 +213,6 @@ def _load_graph_file(path: Path) -> corpus.KnowledgeGraph:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config = SynthConfig(
         n_dialogues=args.n,
         n_subjects_per_graph=args.subjects,
@@ -222,7 +220,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         vocab_pool_seed=args.vocab_pool_seed,
         seed=args.seed,
     )
-    dialogues = corpus.synthetic_dialogues(config)
+    try:
+        dialogues = corpus.synthetic_dialogues(config)
+    except ValueError as e:
+        raise SchemaError(f"invalid synth settings: {e}") from None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     n_train = (len(dialogues) * 8) // 10
     n_valid = len(dialogues) // 10
     parts = {
@@ -257,6 +260,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(out / "model.ckpt", state, vsha, dataclasses.asdict(cfg))
     print(f"wrote {out / 'model.ckpt'}, {out / 'vocab.txt'}, {out / 'history.csv'}")
     return 0
+
+
+def _positive_int(value: str) -> int:
+    if not (value.isascii() and value.isdigit() and int(value) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {value!r}")
+    return int(value)
 
 
 def _parse_k_grid(value: str) -> list[int]:
@@ -312,7 +321,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     dump = graph_weights.inspect_dump(graph, question, embedder, cfg.k_entity, cfg.k_relation)
 
     if args.dump_mask:
-        seq = assemble_input(linearize_graph(graph), [], question, None, vocab, cfg.limits())
+        try:
+            seq = assemble_input(linearize_graph(graph), [], question, None, vocab, cfg.limits())
+        except SequenceTooLongError:
+            raise SequenceTooLongError(
+                f"question too long for context_limit {cfg.context_limit}: its {len(question.split())} words "
+                f"do not fit after the knowledge segment"
+            ) from None
         sel = graph_weights.Selection(
             frozenset(dump["top_entities"]), frozenset(dump["top_relations"]), cfg.k_entity, cfg.k_relation
         )
@@ -325,8 +340,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_chat(args: argparse.Namespace) -> int:
     vocab, state, cfg = _load_run(args)
     graph = _load_graph_file(Path(args.kg))
-    limits = cfg.limits()
-    seed = cfg.decode_seed
+    limits, decoding, train_cfg = cfg.limits(), cfg.decoding(), cfg.train_config()
     history: list[corpus.DialogueTurn] = []
     turn_index = 0
 
@@ -343,32 +357,26 @@ def cmd_chat(args: argparse.Namespace) -> int:
             continue
         if line.startswith("/seed"):
             try:
-                seed = int(line.split()[1])
+                decoding = dataclasses.replace(decoding, seed=int(line.split()[1]))
             except (IndexError, ValueError):
                 print("usage: /seed N", file=sys.stderr)
                 continue
-            print(f"seed set to {seed}", file=sys.stderr)
+            print(f"seed set to {decoding.seed}", file=sys.stderr)
             continue
 
         question = corpus.normalize_text(line)
         if not question:
             continue
-        params = dataclasses.replace(
-            cfg.decoding(), seed=int(np.random.SeedSequence([seed, turn_index]).generate_state(1)[0])
-        )
         try:
-            seq, cols = training.build_sample_inputs(
-                _chat_sample(graph, history, question), vocab, state,
-                cfg.k_entity, cfg.k_relation, cfg.use_kg_mask, limits, with_gold=False,
+            response = evaluation.generate_response(
+                state, _chat_sample(graph, history, question), vocab, decoding, train_cfg, turn_index
             )
-            ids = sample_response(state, seq, masking.compose_mask(seq, cols), params, vocab.eos_id)
         except SequenceTooLongError as e:
             print(f"input rejected: {e}", file=sys.stderr)
             continue
         if len(history) > limits.max_history_turns:
             dropped = len(history) - limits.max_history_turns
             print(f"(history budget: dropped {dropped} oldest turn{'s' if dropped != 1 else ''})", file=sys.stderr)
-        response = " ".join(vocab.decode(ids))
         print(response)
         history.append(corpus.DialogueTurn(corpus.USER, question))
         history.append(corpus.DialogueTurn(corpus.SYSTEM, response or "..."))
@@ -413,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="output report JSON path")
     p.add_argument("--vocab", default=None, help="vocab file (default: vocab.txt next to --ckpt)")
     p.add_argument("--hyp-from-gold", action="store_true", help="self-evaluation: score gold against gold")
-    p.add_argument("--max-samples", type=int, default=None, help="cap evaluated samples")
+    p.add_argument("--max-samples", type=_positive_int, default=None, help="cap evaluated samples (default: all)")
     p.add_argument("--k-entity-grid", type=_parse_k_grid, default=None, help="comma list of k values or 'all'")
     p.add_argument("--k-relation-grid", type=_parse_k_grid, default=None, help="comma list of k values or 'all'")
     _add_config_flags(p)

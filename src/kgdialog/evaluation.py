@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DatasetSplit
+from .corpus import DatasetSplit, DialogueSample
 from .model import DecodingParams, ModelState, sample_response
 from .masking import compose_mask
 from .sequence import SequenceTooLongError, Vocabulary
@@ -132,6 +132,31 @@ def format_report_table(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
+def generate_response(
+    state: ModelState,
+    sample: DialogueSample,
+    vocab: Vocabulary,
+    decoding: DecodingParams,
+    train_cfg: TrainConfig,
+    index: int,
+) -> str:
+    """Sample a response to one request, the ``index``-th of a run.
+
+    The request samples with its own seed, derived from ``decoding.seed``
+    and ``index``, so a run's responses do not depend on the order or the
+    thread in which its requests are served. Triple selection, masking and
+    the assembly limits come from ``train_cfg``. Raises
+    ``SequenceTooLongError`` for a request the model cannot take.
+    """
+    params = replace(decoding, seed=int(np.random.SeedSequence([decoding.seed, index]).generate_state(1)[0]))
+    seq, cols = build_sample_inputs(
+        sample, vocab, state, train_cfg.k_entity, train_cfg.k_relation,
+        train_cfg.use_kg_mask, train_cfg.limits, with_gold=False,
+    )
+    ids = sample_response(state, seq, compose_mask(seq, cols), params, vocab.eos_id)
+    return " ".join(vocab.decode(ids))
+
+
 def evaluate(
     state: ModelState,
     split: DatasetSplit,
@@ -145,32 +170,26 @@ def evaluate(
 ) -> EvalReport:
     """Generate a response per sample, then score BLEU and entity F1.
 
-    Each sample gets its own deterministic sampling seed derived from the
-    decoding seed and the sample index, so results are stable under
-    parallel evaluation and reordering. A sample the model cannot take
-    (``SequenceTooLongError``) is scored with an empty hypothesis, and its
-    record carries the refusal message under ``"refused"``.
+    Sample ``i`` is request ``i`` of ``generate_response``, so results are
+    stable under parallel evaluation and reordering. ``max_samples`` keeps
+    the first samples of the split; None keeps all of them. A sample the
+    model cannot take (``SequenceTooLongError``) is scored with an empty
+    hypothesis, and its record carries the refusal message under
+    ``"refused"``.
     """
-    samples = split.samples[:max_samples] if max_samples else split.samples
+    if max_samples is not None and max_samples < 0:
+        raise ValueError(f"max_samples must be >= 0 or None, not {max_samples}")
+    samples = split.samples if max_samples is None else split.samples[:max_samples]
     matcher = EntityMatcher(lexicon)
 
     def generate(idx: int) -> tuple[str, str | None]:
         """(hypothesis, refusal message or None) for one sample."""
-        sample = samples[idx]
         if hyp_from_gold:
-            return sample.gold_response, None
-        params = replace(
-            decoding, seed=int(np.random.SeedSequence([decoding.seed, idx]).generate_state(1)[0])
-        )
+            return samples[idx].gold_response, None
         try:
-            seq, cols = build_sample_inputs(
-                sample, vocab, state, train_cfg.k_entity, train_cfg.k_relation,
-                train_cfg.use_kg_mask, train_cfg.limits, with_gold=False,
-            )
-            ids = sample_response(state, seq, compose_mask(seq, cols), params, vocab.eos_id)
+            return generate_response(state, samples[idx], vocab, decoding, train_cfg, idx), None
         except SequenceTooLongError as e:
             return "", str(e)
-        return " ".join(vocab.decode(ids)), None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

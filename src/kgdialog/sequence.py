@@ -7,10 +7,12 @@ then (for training) the gold response + [EOS].
 
 Each graph is indexed once, on first use (``graph_index``): its unique token
 strings, its identity-order knowledge stream as codes into them, triple
-boundaries, subject groups, edges and node-surface codes. A request then
-only maps the strings to ids, cuts the stream at the knowledge budget and
-copies the kept part. The index holds nothing of a vocabulary or an
-embedding table, so it is valid for every request on the graph.
+boundaries, edges and node-surface codes. A request then only maps the
+strings to ids, cuts the stream at the knowledge budget and copies the kept
+part. The index holds nothing of a vocabulary or an embedding table, so it
+is valid for every request on the graph. One walk over subject groups
+(``_emit``) emits every stream: the index's, and each shuffled order that
+training asks for, coded by the index's strings.
 """
 
 from __future__ import annotations
@@ -167,7 +169,8 @@ class GraphIndex:
 
     Built once per ``KnowledgeGraph`` object on first use (``graph_index``)
     and kept on it. Token strings are held once, in ``stream.strings``; the
-    stream and the node surfaces refer to them by code. Nothing here depends
+    stream and the node surfaces refer to them by code. The stream is the
+    identity order's only; another order is walked anew. Nothing here depends
     on a vocabulary or an embedding table, so the index stays valid across
     models, vocabularies and training steps: a request maps the strings to
     ids and the ids to embedding rows itself.
@@ -181,10 +184,6 @@ class GraphIndex:
     """
 
     stream: KnowledgeStream  # identity order: subject groups in first-appearance order
-    group_ends: np.ndarray  # (G,) end of each identity subject group within stream.triple_sources
-    head_starts: np.ndarray  # (G,) [S] position of each identity subject group
-    head_ends: np.ndarray  # (G,) end of that group's [S] subject header
-    emitted_of: np.ndarray  # (T,) 0-based identity emitted index of each graph triple
     sro: np.ndarray  # (T, 3) int32 subject, relation, object of each graph triple
     n_entities: int
     n_relations: int
@@ -199,71 +198,89 @@ class GraphIndex:
         return self.n_entities + self.n_relations
 
 
-def _segmented_stream(strings: tuple[str, ...], codes: np.ndarray, is_head: np.ndarray, lengths: np.ndarray,
-                      sources: tuple[int, ...]) -> KnowledgeStream:
-    """A stream from its codes ([BOS] first) and its segments in emission
-    order: each subject group's header, then the group's triples."""
-    is_triple = ~is_head
-    ends = 1 + np.cumsum(lengths, dtype=np.int32)
-    zero = np.zeros(1, dtype=np.int32)
-    return KnowledgeStream(
-        strings=strings,
-        codes=codes,
-        entity_ids=np.concatenate([zero, np.repeat(np.cumsum(is_head, dtype=np.int32), lengths)]),
-        triple_ids=np.concatenate([zero, np.repeat(np.cumsum(is_triple, dtype=np.int32) * is_triple, lengths)]),
-        triple_starts=(ends - lengths)[is_triple],
-        triple_ends=ends[is_triple],
-        triple_sources=sources,
-    )
+def _encode(code_of: dict[str, int], text: str) -> list[int]:
+    """Codes of the words of ``text``; a word not yet in ``code_of`` gets the next code.
+    Words are interned, so graphs that share words share their strings."""
+    return [code_of.setdefault(sys.intern(w), len(code_of)) for w in text.split()]
 
 
-def _build_index(graph: KnowledgeGraph) -> GraphIndex:
-    code_of: dict[str, int] = {}
+def _emit(graph: KnowledgeGraph, order: GraphOrder, code_of: dict[str, int]
+          ) -> tuple[list[int], list[bool], list[int], list[int], list[list[int] | None]]:
+    """Walk ``order`` to ``[BOS] ([S] subj ([R] rel [O] obj)+)*`` as codes from ``code_of``.
 
-    def encode(text: str) -> list[int]:
-        # interned, so graphs that share words share their strings
-        return [code_of.setdefault(sys.intern(w), len(code_of)) for w in text.split()]
-
-    bos, s_tok, r_tok, o_tok = encode(" ".join((BOS, S_TOK, R_TOK, O_TOK)))
-    ne, nr = graph.n_entities, graph.n_relations
-    surface_codes: list[list[int] | None] = [None] * (ne + nr)  # encoded on first use, in stream order
+    Returns the codes, one head flag and one length per segment (a subject
+    header or a triple) in emission order, the emitted triples' graph
+    indices, and each node surface's codes (None for a node not emitted).
+    Raises ``ValueError`` unless ``order`` is a list of nonempty
+    single-subject groups that names every triple exactly once.
+    """
+    triples = graph.triples
+    if sorted(t for group in order for t in group) != list(range(len(triples))):
+        raise ValueError("order must cover every triple exactly once")
+    bos, s_tok, r_tok, o_tok = _encode(code_of, " ".join((BOS, S_TOK, R_TOK, O_TOK)))
+    ne = graph.n_entities
+    surface_codes: list[list[int] | None] = [None] * (ne + graph.n_relations)  # encoded on first use
 
     def node(i: int, surface: str) -> list[int]:
         c = surface_codes[i]
         if c is None:
-            c = surface_codes[i] = encode(surface)
+            c = surface_codes[i] = _encode(code_of, surface)
         return c
 
-    # one segment per subject header and per triple, in identity order
-    codes, seg_lengths, seg_head = [bos], [], []
-    head_starts, head_ends, group_ends, sources = [], [], [], []
-    for subject, members in graph.subject_groups():
-        head_starts.append(len(codes))
+    codes, is_head, lengths, sources = [bos], [], [], []
+    for group in order:
+        if not group:
+            raise ValueError("order contains an empty subject group")
+        subject = triples[group[0]].subject
+        start = len(codes)
         codes.append(s_tok)
         codes += node(subject, graph.entities[subject].surface)
-        head_ends.append(len(codes))
-        seg_lengths.append(len(codes) - head_starts[-1])
-        seg_head.append(True)
-        for t in members:
-            triple = graph.triples[t]
+        lengths.append(len(codes) - start)
+        is_head.append(True)
+        for t in group:
+            triple = triples[t]
+            if triple.subject != subject:
+                raise ValueError("order group mixes triples of different subjects")
             start = len(codes)
             codes.append(r_tok)
             codes += node(ne + triple.relation, graph.relations[triple.relation].surface)
             codes.append(o_tok)
             codes += node(triple.object, graph.entities[triple.object].surface)
+            lengths.append(len(codes) - start)
+            is_head.append(False)
             sources.append(t)
-            seg_lengths.append(len(codes) - start)
-            seg_head.append(False)
-        group_ends.append(len(sources))
-    for i, surface in enumerate([e.surface for e in graph.entities] + [r.surface for r in graph.relations]):
-        node(i, surface)
-    strings = tuple(code_of)
-    stream = _segmented_stream(strings, np.array(codes, dtype=np.int32), np.array(seg_head, dtype=bool),
-                               np.array(seg_lengths, dtype=np.int32), tuple(sources))
+    return codes, is_head, lengths, sources, surface_codes
 
-    n_triples = len(graph.triples)
-    emitted_of = np.empty(n_triples, dtype=np.int32)
-    emitted_of[sources] = np.arange(n_triples, dtype=np.int32)
+
+def _segmented_stream(strings: tuple[str, ...], codes: list[int], is_head: list[bool], lengths: list[int],
+                      sources: list[int]) -> KnowledgeStream:
+    """A stream from its codes ([BOS] first) and its segments in emission
+    order: each subject group's header, then the group's triples."""
+    head = np.array(is_head, dtype=bool)
+    is_triple = ~head
+    sizes = np.array(lengths, dtype=np.int32)
+    ends = 1 + np.cumsum(sizes, dtype=np.int32)
+    zero = np.zeros(1, dtype=np.int32)
+    return KnowledgeStream(
+        strings=strings,
+        codes=np.array(codes, dtype=np.int32),
+        entity_ids=np.concatenate([zero, np.repeat(np.cumsum(head, dtype=np.int32), sizes)]),
+        triple_ids=np.concatenate([zero, np.repeat(np.cumsum(is_triple, dtype=np.int32) * is_triple, sizes)]),
+        triple_starts=(ends - sizes)[is_triple],
+        triple_ends=ends[is_triple],
+        triple_sources=tuple(sources),
+    )
+
+
+def _build_index(graph: KnowledgeGraph) -> GraphIndex:
+    code_of: dict[str, int] = {}
+    codes, is_head, lengths, sources, surface_codes = _emit(graph, identity_order(graph), code_of)
+    ne, nr = graph.n_entities, graph.n_relations
+    for i, surface in enumerate([e.surface for e in graph.entities] + [r.surface for r in graph.relations]):
+        if surface_codes[i] is None:  # a node no triple names
+            surface_codes[i] = _encode(code_of, surface)
+    strings = tuple(code_of)
+    stream = _segmented_stream(strings, codes, is_head, lengths, sources)
     sro = np.array([(t.subject, t.relation, t.object) for t in graph.triples], dtype=np.int32).reshape(-1, 3)
 
     node_lengths = np.array([len(c) for c in surface_codes], dtype=np.int32)
@@ -284,10 +301,6 @@ def _build_index(graph: KnowledgeGraph) -> GraphIndex:
 
     index = GraphIndex(
         stream=stream,
-        group_ends=np.array(group_ends, dtype=np.int32),
-        head_starts=np.array(head_starts, dtype=np.int32),
-        head_ends=np.array(head_ends, dtype=np.int32),
-        emitted_of=emitted_of,
         sro=sro,
         n_entities=ne,
         n_relations=nr,
@@ -319,10 +332,7 @@ def graph_index(graph: KnowledgeGraph) -> GraphIndex:
 
 
 def identity_order(graph: KnowledgeGraph) -> GraphOrder:
-    index = graph_index(graph)
-    sources = index.stream.triple_sources
-    ends = index.group_ends.tolist()
-    return [list(sources[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    return [members for _, members in graph.subject_groups()]
 
 
 def shuffled_order(graph: KnowledgeGraph, rng: np.random.Generator) -> GraphOrder:
@@ -333,50 +343,22 @@ def shuffled_order(graph: KnowledgeGraph, rng: np.random.Generator) -> GraphOrde
     return groups
 
 
-def _check_order(index: GraphIndex, flat: np.ndarray, sizes: np.ndarray) -> None:
-    n_triples = index.sro.shape[0]
-    if flat.size != n_triples or not np.array_equal(np.sort(flat), np.arange(n_triples)):
-        raise ValueError("order must cover every triple exactly once")
-    if not sizes.all():
-        raise ValueError("order contains an empty subject group")
-    subjects = index.sro[flat, 0]
-    if np.any(subjects != np.repeat(subjects[np.cumsum(sizes) - sizes], sizes)):
-        raise ValueError("order group mixes triples of different subjects")
-
-
 def linearize_graph(graph: KnowledgeGraph, order: GraphOrder | None = None) -> KnowledgeStream:
     """Flatten a graph to ``[BOS] ([S] subj ([R] rel [O] obj)+)*``.
 
     ``order`` permutes subject groups and the triples within each group;
-    the default is first-appearance order, which the graph's index holds.
-    Any other order gathers the index's subject-header and triple segments.
+    the default is first-appearance order, whose stream the graph's index
+    holds. Any other order is walked group by group, as the index's own
+    stream was, with codes into the index's strings. Raises ``ValueError``
+    for an order with an empty group, a group of mixed subjects, or one
+    that does not name every triple exactly once.
     """
     index = graph_index(graph)
     if order is None:
         return index.stream
-    sizes = np.fromiter((len(g) for g in order), dtype=np.int64, count=len(order))
-    flat = np.fromiter((i for g in order for i in g), dtype=np.int64, count=int(sizes.sum()))
-    _check_order(index, flat, sizes)
-
-    base = index.stream
-    emitted = index.emitted_of[flat]  # identity emitted index of each triple, in the new order
-    firsts = np.cumsum(sizes) - sizes  # each group's first triple within flat
-    groups = np.searchsorted(index.group_ends, emitted[firsts], side="right")  # identity group of each
-    # segments in emission order: each group's header, then its triples
-    is_head = np.zeros(len(order) + flat.size, dtype=bool)
-    is_head[firsts + np.arange(len(order))] = True
-    starts = np.empty(is_head.size, dtype=np.int64)
-    ends = np.empty(is_head.size, dtype=np.int64)
-    starts[is_head] = index.head_starts[groups]
-    ends[is_head] = index.head_ends[groups]
-    starts[~is_head] = base.triple_starts[emitted]
-    ends[~is_head] = base.triple_ends[emitted]
-    lengths = (ends - starts).astype(np.int32)
-    # the output position of a segment's first token, minus its position in the identity stream
-    shift = 1 + np.cumsum(lengths) - lengths - starts
-    positions = np.arange(1, 1 + int(lengths.sum())) - np.repeat(shift, lengths)
-    codes = np.concatenate([base.codes[:1], base.codes[positions]])
-    return _segmented_stream(base.strings, codes, is_head, lengths, tuple(flat.tolist()))
+    strings = index.stream.strings
+    codes, is_head, lengths, sources, _ = _emit(graph, order, dict(zip(strings, range(len(strings)))))
+    return _segmented_stream(strings, codes, is_head, lengths, sources)
 
 
 # --- input assembly ---------------------------------------------------------

@@ -59,6 +59,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.k_entity < 0 or self.k_relation < 0:
             raise ValueError("k_entity and k_relation must be >= 0")
+        if self.batch_size < 1 or self.grad_accum_steps < 1:
+            raise ValueError("batch_size and grad_accum_steps must be >= 1")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, not {self.lr}")
 
 
 def adamw_step(state: ModelState, grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:

@@ -263,7 +263,7 @@ class TestBadInput:
         rc = main(["inspect", "--ckpt", str(run_dir / "model.ckpt"), "--kg", str(kg),
                    "--question", " ".join(["what"] * 500), "--dump-mask"])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: question too long for context_limit 412: its 500 words" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["abc", "-1", "1,,2"])
     def test_bad_k_grid(self, data_dir, run_dir, tmp_path, capsys, grid):
@@ -285,6 +285,35 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "error: invalid config" in err and message in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_samples_below_one(self, data_dir, run_dir, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "--ckpt", str(run_dir / "model.ckpt"), "--data", str(data_dir),
+                  "--report", str(tmp_path / "r.json"), f"--max-samples={value}"])
+        assert e.value.code == 2
+        assert "error: argument --max-samples" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--batch-size", "0"], "batch_size"),
+        (["--grad-accum-steps", "0"], "grad_accum_steps"),
+        (["--lr", "-1"], "lr"),
+        (["--min-freq", "0"], "min_freq"),
+    ])
+    def test_bad_train_config_value(self, data_dir, tmp_path, capsys, flags, message):
+        rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet",
+                   "--epochs", "1", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: invalid config" in err and message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_synth_settings(self, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path / "o"), "--n", "4", "--subjects", "0"])
+        assert rc == 2
+        assert "error: invalid synth settings" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_heads_not_dividing_width(self, data_dir, tmp_path, capsys):
         rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet",

@@ -146,6 +146,20 @@ class TestEvaluate:
         par = evaluate(state, fresh_graphs(), vocab, lexicon, params, TrainConfig(), threads=2)
         assert seq.to_dict() == par.to_dict()
 
+    @pytest.mark.parametrize("max_samples, kept", [(None, 4), (0, 0), (1, 1), (9, 4)])
+    def test_max_samples_keeps_first_samples(self, setup, max_samples, kept):
+        state, split, vocab, lexicon = setup
+        split = DatasetSplit(split.name, split.samples[:4])
+        report = evaluate(state, split, vocab, lexicon, DecodingParams(seed=1), TrainConfig(), hyp_from_gold=True,
+                          max_samples=max_samples)
+        assert [r["id"] for r in report.records] == [s.id for s in split.samples[:kept]]
+        assert report.config["n_samples"] == kept
+
+    def test_negative_max_samples_refused(self, setup):
+        state, split, vocab, lexicon = setup
+        with pytest.raises(ValueError, match="max_samples"):
+            evaluate(state, split, vocab, lexicon, DecodingParams(seed=1), TrainConfig(), max_samples=-1)
+
     def test_report_round_trips_to_json(self, setup, tmp_path):
         state, split, vocab, lexicon = setup
         report = evaluate(state, split, vocab, lexicon, DecodingParams(seed=1), TrainConfig(), hyp_from_gold=True)

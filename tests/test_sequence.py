@@ -119,6 +119,19 @@ class TestLinearize:
         for _ in range(5):
             assert decoded(shuffled_order(g, rng)) == base
 
+    @pytest.mark.parametrize("order, message", [
+        ([[0, 1], [], [2, 3]], "empty subject group"),
+        ([[0, 2], [1, 3]], "mixes triples of different subjects"),
+        ([[0, 1, 1], [2, 3]], "every triple exactly once"),  # duplicate
+        ([[0, 1], [2]], "every triple exactly once"),  # missing
+        ([[0, 1], [2, 4]], "every triple exactly once"),  # index past the last triple
+        ([[0, 1], [2, -1]], "every triple exactly once"),  # negative: must not wrap to the last triple
+    ])
+    def test_bad_order_refused(self, order, message):
+        g = build_graph([["s1", "r1", "o1"], ["s1", "r2", "o2"], ["s2", "r1", "o3"], ["s2", "r2", "o4"]])
+        with pytest.raises(ValueError, match=message):
+            linearize_graph(g, order)
+
 
 def assemble(sample, vocab, limits, order=None, gold=True):
     return assemble_input(
