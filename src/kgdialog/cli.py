@@ -4,7 +4,8 @@ Every configuration key has a default, can be set from a JSON config file
 (``--config`` or the KGDIALOG_CONFIG environment variable), and can be
 overridden by a flag of the same name. Exit codes: 0 success, 2 bad input
 (a missing or malformed file, a bad flag, config value or synth setting, an
-inspect question too long for the context), 3 vocabulary mismatch.
+inspect question too long for the context, a corpus with no tokens), 3
+vocabulary mismatch.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .corpus import SchemaError, SynthConfig, ValidationError
 from .model import DecodingParams, ModelConfig, ModelState
 from .sequence import (
     AssemblyLimits,
+    EmptyCorpusError,
     SequenceTooLongError,
     Vocabulary,
     assemble_input,
@@ -454,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (FileNotFoundError, SchemaError, ValidationError, CheckpointError, json.JSONDecodeError,
-            SequenceTooLongError) as e:
+            SequenceTooLongError, EmptyCorpusError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

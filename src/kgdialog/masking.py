@@ -72,9 +72,12 @@ def unmasked_columns(seq: InputSequence) -> np.ndarray:
 
 
 def causal_key_columns(key_cols: np.ndarray) -> np.ndarray:
-    """(m, m) additive mask whose row i holds ``key_cols[: i + 1]`` and masks every later key."""
-    m = key_cols.shape[0]
-    return np.where(np.tri(m, dtype=bool), key_cols, NEG_INF)
+    """(..., m, m) additive mask: row i holds ``key_cols[..., : i + 1]`` and masks every later key.
+
+    ``key_cols`` is (m,) or (B, m); each row of columns gives one mask.
+    """
+    m = key_cols.shape[-1]
+    return np.where(np.tri(m, dtype=bool), key_cols[..., None, :], NEG_INF)
 
 
 def compose_mask(seq: InputSequence, knowledge_cols: np.ndarray, pad_len: int = 0) -> AttentionMask:

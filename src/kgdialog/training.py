@@ -1,11 +1,13 @@
-"""Training loop: per-epoch triple shuffling, question-conditioned masks,
-gradient accumulation, and decoupled-weight-decay Adam."""
+"""Training loop: per-epoch triple shuffling, batches of the rows the
+question-conditioned knowledge mask leaves visible, gradient accumulation,
+and decoupled-weight-decay Adam."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from .corpus import DatasetSplit, DialogueSample
 from .graph_weights import TokenEmbedder, compute_weighted_graph, select_topk
-from .masking import compose_mask, knowledge_column_mask, unmasked_columns
+from .masking import NEG_INF, causal_key_columns, knowledge_column_mask, unmasked_columns
 from .model import (
     Batch,
     ModelConfig,
@@ -22,7 +24,6 @@ from .model import (
     forward_batch,
     init_model,
     loss_batch,
-    pack_batch,
 )
 from .sequence import (
     AssemblyLimits,
@@ -146,11 +147,46 @@ def build_sample_inputs(
     return seq, cols
 
 
-def _make_batch(pairs: list[tuple[InputSequence, np.ndarray]], with_targets: bool) -> Batch:
-    n = max(seq.n for seq, _ in pairs)
-    seqs = [seq for seq, _ in pairs]
-    masks = [compose_mask(seq, cols, n - seq.n) for seq, cols in pairs]
-    return pack_batch(seqs, masks, with_targets)
+def _make_batch(pairs: list[tuple[InputSequence, np.ndarray]]) -> Batch:
+    """Pack each sample's visible rows, with targets, into one padded batch.
+
+    A knowledge position whose key column is ``NEG_INF`` is hidden from
+    every query row, and it carries no target (targets lie in the response
+    span, after [SEP]), so its row changes no logit of another row, no loss
+    term and no gradient: dropping it is exact. Each sample keeps the rows its
+    columns leave visible and every row after [SEP], with their true position
+    ids in ``pos`` and the response targets shifted onto the kept rows. The
+    mask left holds causality and padding only; padded query rows see key 0.
+    Where every column is visible (the knowledge-mask ablation, or the
+    fallback) nothing is dropped.
+    """
+    kept = []
+    for seq, cols in pairs:
+        if seq.response_start >= seq.n:
+            raise ValueError("training sample has an empty response span")
+        rows = np.ones(seq.n, dtype=bool)
+        rows[: cols.shape[0]] = cols != NEG_INF
+        kept.append(np.flatnonzero(rows))
+    lengths = np.array([rows.size for rows in kept])
+    b, n = len(pairs), int(lengths.max())
+    tok, ent, tri, typ = (np.zeros((b, n), dtype=np.int64) for _ in range(4))
+    pos = np.broadcast_to(np.arange(n, dtype=np.int64), (b, n)).copy()
+    targets = np.full((b, n), -1, dtype=np.int64)
+    for i, ((seq, _), rows) in enumerate(zip(pairs, kept)):
+        m = rows.size
+        tok[i, :m] = seq.token_ids[rows]
+        pos[i, :m] = seq.position_ids[rows]
+        ent[i, :m] = seq.entity_ids[rows]
+        tri[i, :m] = seq.triple_ids[rows]
+        typ[i, :m] = seq.type_ids[rows]
+        # every dropped row lies before [SEP]: the response rows move up by their count
+        first = seq.response_start - 1 - (seq.n - m)
+        targets[i, first : m - 1] = seq.token_ids[seq.response_start :]
+    mask = causal_key_columns(np.where(np.arange(n) < lengths[:, None], np.float32(0.0), NEG_INF))
+    for i, m in enumerate(lengths):
+        mask[i, m:] = NEG_INF
+        mask[i, m:, 0] = 0.0
+    return Batch(tok, pos, ent, tri, typ, mask, targets)
 
 
 def dataset_loss(
@@ -168,7 +204,7 @@ def dataset_loss(
             build_sample_inputs(s, vocab, state, cfg.k_entity, cfg.k_relation, cfg.use_kg_mask, cfg.limits)
             for s in chunk
         ]
-        batch = _make_batch(pairs, True)
+        batch = _make_batch(pairs)
         logits, _ = forward_batch(state, batch)
         value, _ = loss_batch(logits, batch.targets)
         total += value * len(chunk)
@@ -197,10 +233,12 @@ def train(
 
     micro = 0
     for epoch in range(cfg.epochs):
+        t0 = time.perf_counter()
         order = np.random.default_rng([cfg.seed, 7919, epoch]).permutation(len(samples))
         accum: dict[str, np.ndarray] | None = None
         accum_count = 0
         epoch_loss, epoch_n = 0.0, 0
+        rows_assembled, rows_kept, rows_computed = 0, 0, 0
 
         for start in range(0, len(order), cfg.batch_size):
             idxs = order[start : start + cfg.batch_size]
@@ -214,7 +252,10 @@ def train(
                         s, vocab, state, cfg.k_entity, cfg.k_relation, cfg.use_kg_mask, cfg.limits, order=perm
                     )
                 )
-            batch = _make_batch(pairs, True)
+            batch = _make_batch(pairs)
+            rows_assembled += sum(seq.n for seq, _ in pairs)
+            rows_kept += sum(seq.n - int(np.count_nonzero(cols == NEG_INF)) for seq, cols in pairs)
+            rows_computed += batch.tok.size
             drop_rng = np.random.default_rng([cfg.seed, 104729, micro])
             try:
                 logits, cache = forward_batch(state, batch, train=True, rng=drop_rng)
@@ -246,7 +287,13 @@ def train(
         valid_loss = dataset_loss(valid_split, vocab, state, cfg) if valid_split else float("nan")
         history.append({"epoch": epoch, "train_loss": train_loss, "valid_loss": valid_loss})
         if verbose:
-            print(f"epoch {epoch}: train_loss={train_loss:.4f} valid_loss={valid_loss:.4f}", file=sys.stderr)
+            seconds = time.perf_counter() - t0
+            print(
+                f"epoch {epoch}: train_loss={train_loss:.4f} valid_loss={valid_loss:.4f} "
+                f"{seconds:.2f}s {epoch_n / seconds:.1f} samples/s "
+                f"rows {rows_kept} kept of {rows_assembled} assembled, {rows_computed} computed with padding",
+                file=sys.stderr,
+            )
         if valid_split and valid_loss < best_loss:
             best_loss = valid_loss
             best_params = state.clone_params()

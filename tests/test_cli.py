@@ -309,6 +309,15 @@ class TestBadInput:
         assert "error: invalid config" in err and message in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_train_on_empty_corpus(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "empty"), "--n", "0"]) == 0
+        rc = main(["train", "--data", str(tmp_path / "empty"), "--out", str(tmp_path / "o"), "--quiet",
+                   "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: no tokens found in any split" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_synth_settings(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "o"), "--n", "4", "--subjects", "0"])
         assert rc == 2

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from kgdialog.corpus import DatasetSplit, SynthConfig, generate_synthetic
-from kgdialog.model import ModelConfig, init_model
+from kgdialog.masking import NEG_INF, compose_mask
+from kgdialog.model import ModelConfig, backward_batch, forward_batch, init_model, loss_batch, pack_batch
 from kgdialog.sequence import AssemblyLimits, SequenceTooLongError, build_vocab
 from kgdialog.training import (
     TrainConfig,
     TrainingDiverged,
+    _make_batch,
     adamw_step,
     build_sample_inputs,
     dataset_loss,
@@ -129,3 +131,52 @@ class TestSampleInputs:
         state = init_model(dataclasses.replace(mcfg, max_positions=n - 1), seed=0)
         with pytest.raises(SequenceTooLongError, match="position ids"):
             build_sample_inputs(sample, vocab, state, 7, 7, True, AssemblyLimits())
+
+
+class TestVisibleRowBatch:
+    """Training batches keep only the rows the knowledge mask leaves visible;
+    the full masked batch (every row, ``compose_mask``) is the oracle."""
+
+    @staticmethod
+    def _loss_and_grads(state, batch):
+        logits, cache = forward_batch(state, batch)
+        value, dlogits = loss_batch(logits, batch.targets)
+        return value, backward_batch(state, cache, dlogits)
+
+    @pytest.mark.parametrize("k, use_kg_mask, drops", [(1, True, True), (0, True, False), (7, False, False)],
+                             ids=["hides-triples", "all-hidden-fallback", "no-kg-mask"])
+    def test_matches_full_masked_batch(self, small_world, k, use_kg_mask, drops):
+        train_split, _, vocab, mcfg = small_world
+        state = init_model(mcfg, seed=3, dtype=np.float64)
+        pairs = [build_sample_inputs(s, vocab, state, k, k, use_kg_mask, AssemblyLimits())
+                 for s in train_split.samples[:4]]
+        n = max(seq.n for seq, _ in pairs)
+        full = pack_batch([seq for seq, _ in pairs], [compose_mask(seq, cols, n - seq.n) for seq, cols in pairs], True)
+        batch = _make_batch(pairs)
+
+        lengths = []
+        for i, (seq, cols) in enumerate(pairs):
+            kept = np.flatnonzero(np.concatenate([cols != NEG_INF, np.ones(seq.n - cols.shape[0], dtype=bool)]))
+            m = kept.size
+            lengths.append(m)
+            np.testing.assert_array_equal(batch.pos[i, :m], kept)
+            np.testing.assert_array_equal(batch.tok[i, :m], seq.token_ids[kept])
+            rows = np.flatnonzero(batch.targets[i] >= 0)
+            np.testing.assert_array_equal(rows, np.flatnonzero(batch.targets[i, :m] >= 0))
+            # each target row predicts the token its full-batch row predicts
+            np.testing.assert_array_equal(batch.targets[i, rows], full.targets[i, batch.pos[i, rows]])
+            assert rows.size == np.count_nonzero(full.targets[i] >= 0)
+        assert len(set(lengths)) > 1  # padded
+        assert (sum(lengths) < sum(seq.n for seq, _ in pairs)) == drops
+        if not drops:
+            for name in ("tok", "pos", "ent", "tri", "typ", "mask", "targets"):
+                np.testing.assert_array_equal(getattr(batch, name), getattr(full, name))
+
+        value, grads = self._loss_and_grads(state, batch)
+        ref_value, ref_grads = self._loss_and_grads(state, full)
+        assert value == pytest.approx(ref_value, rel=1e-9)
+        for name, ref in ref_grads.items():
+            if name.endswith("attn.bk"):  # zero in exact arithmetic
+                np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12)
+            else:
+                assert np.linalg.norm(grads[name] - ref) <= 1e-9 * np.linalg.norm(ref), name
