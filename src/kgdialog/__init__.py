@@ -38,7 +38,6 @@ from .model import (
     ModelState,
     attention,
     backward,
-    embed,
     forward,
     init_model,
     loss,

@@ -137,6 +137,8 @@ _ABLATIONS = {
 
 
 _FLAG_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+# the JSON values a config file may give a field of each type; true and false are no numbers
+_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "bool": (bool, "true or false")}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -159,15 +161,20 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def resolve_config(args: argparse.Namespace, base: dict | None = None) -> RunConfig:
     """Defaults, then ``base``, then the config file, then ablations, then flags; later wins."""
     cfg = RunConfig(**(base or {}))
-    names = {f.name for f in dataclasses.fields(RunConfig)}
+    kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     path = args.config or (Path(os.environ[ENV_CONFIG]) if os.environ.get(ENV_CONFIG) else None)
     if path is not None:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        unknown = set(doc) - names
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{path}: a config file must hold one JSON object of config keys")
+        unknown = doc.keys() - kinds
         if unknown:
             raise SchemaError(f"{path}: unknown config keys: {sorted(unknown)}")
         for k, v in doc.items():
-            setattr(cfg, k, v)
+            types, what = _JSON_TYPES[kinds[k]]
+            if not isinstance(v, types) or isinstance(v, bool) != (kinds[k] == "bool"):
+                raise SchemaError(f"{path}: config key {k!r} must be {what}, not {json.dumps(v)}")
+            setattr(cfg, k, _FLAG_TYPES[kinds[k]](v))
     if getattr(args, "ablation", None):
         for name in args.ablation.split(","):
             name = name.strip()
@@ -175,7 +182,7 @@ def resolve_config(args: argparse.Namespace, base: dict | None = None) -> RunCon
                 raise SchemaError(f"unknown ablation {name!r}; choose from {sorted(_ABLATIONS)}")
             for k, v in _ABLATIONS[name].items():
                 setattr(cfg, k, v)
-    for name in names:
+    for name in kinds:
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)

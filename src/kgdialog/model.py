@@ -5,7 +5,9 @@ are summed and layer-normalized, then fed through pre-norm residual blocks
 with masked multi-head attention and a GELU feed-forward. The output head is
 tied to the token table. Forward caches every intermediate needed by the
 hand-written backward pass, which is validated against central finite
-differences in the test suite. Decoding prefills a per-call ``KVCache`` with
+differences in the test suite. One row gather, ``gather_batch``, packs every
+batch with true position ids; a batch without a mask attends causally.
+Decoding prefills a per-call ``KVCache`` with
 the keys and values of the context positions the knowledge mask leaves
 visible, then computes one new row per step; the cache holds only rows every
 later row may read, so cached calls take no mask.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import NEG_INF, AttentionMask
+from .masking import NEG_INF, AttentionMask, causal_key_columns
 from .sequence import InputSequence, SequenceTooLongError
 
 
@@ -185,7 +187,7 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, m: np.ndarray) -> tup
 
 @dataclass
 class Batch:
-    """Padded index streams for a list of sequences, plus per-sample masks (None for cached calls)."""
+    """Padded index streams for a list of sequences; no mask means causal attention."""
 
     tok: np.ndarray  # (B, n) int64
     pos: np.ndarray
@@ -199,35 +201,50 @@ class Batch:
     def shape(self) -> tuple[int, int]:
         return self.tok.shape
 
+    def span(self, start: int, stop: int) -> "Batch":
+        """Rows ``start:stop`` of the five streams, without mask or targets."""
+        return Batch(*(a[:, start:stop] for a in (self.tok, self.pos, self.ent, self.tri, self.typ)))
+
+
+def gather_batch(seqs: list[InputSequence], rows: list[np.ndarray], width: int, with_targets: bool) -> Batch:
+    """Pack rows ``rows[i]`` of ``seqs[i]``, in that order, padded at the end to ``width``.
+
+    Each row keeps its true position id; padding is id 0 in every stream but
+    ``pos``, which counts on. Row ``j``'s target is the token of row ``j + 1``
+    when that row lies in the response span, and -1 otherwise. No mask is set:
+    padding follows every real row, so causality alone hides it, and it
+    carries no target.
+    """
+    b = len(seqs)
+    tok, ent, tri, typ = (np.zeros((b, width), dtype=np.int64) for _ in range(4))
+    pos = np.broadcast_to(np.arange(width, dtype=np.int64), (b, width)).copy()
+    targets = np.full((b, width), -1, dtype=np.int64) if with_targets else None
+    for i, (s, r) in enumerate(zip(seqs, rows)):
+        m = r.size
+        tok[i, :m] = s.token_ids[r]
+        pos[i, :m] = s.position_ids[r]
+        ent[i, :m] = s.entity_ids[r]
+        tri[i, :m] = s.triple_ids[r]
+        typ[i, :m] = s.type_ids[r]
+        if with_targets:
+            nxt = r[1:]
+            answer = nxt >= s.response_start
+            if not answer.any():
+                raise ValueError("training sample has an empty response span")
+            targets[i, : m - 1] = np.where(answer, s.token_ids[nxt], -1)
+    return Batch(tok, pos, ent, tri, typ, targets=targets)
+
 
 def pack_batch(
     seqs: list[InputSequence], masks: list[AttentionMask], with_targets: bool
 ) -> Batch:
+    """Every row of each sequence, padded to the longest, under the caller's masks."""
     n = max(s.n for s in seqs)
-    b = len(seqs)
-    tok = np.zeros((b, n), dtype=np.int64)
-    ent = np.zeros((b, n), dtype=np.int64)
-    tri = np.zeros((b, n), dtype=np.int64)
-    typ = np.zeros((b, n), dtype=np.int64)
-    pos = np.broadcast_to(np.arange(n, dtype=np.int64), (b, n)).copy()
-    mask = np.empty((b, n, n), dtype=np.float32)
-    targets = np.full((b, n), -1, dtype=np.int64) if with_targets else None
-
-    for i, (s, m) in enumerate(zip(seqs, masks)):
-        ln = s.n
-        tok[i, :ln] = s.token_ids
-        ent[i, :ln] = s.entity_ids
-        tri[i, :ln] = s.triple_ids
-        typ[i, :ln] = s.type_ids
-        if m.values.shape[0] != n:
-            raise ValueError("mask padding does not match batch length")
-        mask[i] = m.values
-        if with_targets:
-            if s.response_start >= ln:
-                raise ValueError("training sample has an empty response span")
-            # logit row p predicts token p+1; response tokens start at response_start
-            targets[i, s.response_start - 1 : ln - 1] = s.token_ids[s.response_start :]
-    return Batch(tok, pos, ent, tri, typ, mask, targets)
+    if any(m.values.shape[0] != n for m in masks):
+        raise ValueError("mask padding does not match batch length")
+    batch = gather_batch(seqs, [np.arange(s.n) for s in seqs], n, with_targets)
+    batch.mask = np.stack([m.values for m in masks])
+    return batch
 
 
 def _check_bounds(batch: Batch, cfg: ModelConfig) -> None:
@@ -292,26 +309,25 @@ def forward_batch(
 ):
     """Run the transformer; returns (logits, cache) with cache for backward.
 
+    Attention reads ``batch.mask`` when the caller supplies one; otherwise
+    the batch is causal: the row in key slot ``r`` reads slots ``0..r``.
     With a ``kv`` cache, only rows ``[kv.skip + kv.rows:n]`` of ``batch`` are
-    computed. Every row the cache stores is visible to them, so the call reads
-    no mask: the new rows attend to the stored rows and, causally by slot, to
-    each other, and their keys and values are appended to the cache. The
-    logits returned are the new rows' alone. Cached calls are eval-mode only
-    and return no backward cache (None).
+    computed, and they always run causally: every row the cache stores is
+    visible to them, so the call reads no mask. The new rows attend to the
+    stored rows and to each other, and their keys and values are appended to
+    the cache. The logits returned are the new rows' alone. Cached calls are
+    eval-mode only and return no backward cache (None).
     """
     cfg, p = state.cfg, state.params
     bsz, n = batch.shape
-    start = 0
+    start = past = 0
     if kv is not None:
         if train:
             raise ValueError("a KV cache serves eval-mode forward passes only")
-        start = kv.skip + kv.rows
+        start, past = kv.skip + kv.rows, kv.rows
         if kv.k.shape[1] != bsz or not start < n <= kv.skip + kv.k.shape[3]:
             raise ValueError(f"batch of {bsz} x {n} does not extend a KV cache of {kv.k.shape[1]} x {start}")
-        batch = Batch(  # the new rows only
-            batch.tok[:, start:], batch.pos[:, start:], batch.ent[:, start:], batch.tri[:, start:],
-            batch.typ[:, start:],
-        )
+        batch = batch.span(start, n)  # the new rows only
     _check_bounds(batch, cfg)
     dt = state.dtype
     nh, dh = cfg.n_heads, cfg.d_head
@@ -326,11 +342,11 @@ def forward_batch(
         h = h * emb_drop
 
     rows = n - start
-    if kv is None:
+    filled = past + rows  # key slots after this call; new row r sits in slot past + r
+    if batch.mask is not None:
         add_mask = batch.mask.astype(dt)[:, None, :, :]  # broadcast over heads
-    else:  # new row r sits in slot kv.rows + r and reads the slots up to it
-        filled = kv.rows + rows
-        add_mask = np.triu(np.full((rows, filled), NEG_INF, dtype=dt), kv.rows + 1)
+    else:
+        add_mask = causal_key_columns(np.zeros(filled, dtype=dt), past)
     layers = []
     for i in range(cfg.n_layers):
         pre = f"h{i}."
@@ -497,15 +513,6 @@ def loss_batch(logits: np.ndarray, targets: np.ndarray):
 # --- single-sequence contract surface ---------------------------------------
 
 
-def embed(seq: InputSequence, state: ModelState) -> np.ndarray:
-    """Layer-normalized sum of the five embedding streams, (n, d_model)."""
-    batch = pack_batch([seq], [AttentionMask(np.zeros((seq.n, seq.n), dtype=np.float32), seq.n)], False)
-    cfg, p = state.cfg, state.params
-    _check_bounds(batch, cfg)
-    h, _ = layernorm_fwd(_embedding_sum(p, cfg, batch), p["ln_e.g"], p["ln_e.b"])
-    return h[0]
-
-
 def forward(seq: InputSequence, mask: AttentionMask, state: ModelState) -> np.ndarray:
     """Deterministic eval-mode forward for one sequence, (n, vocab) logits."""
     logits, _ = forward_batch(state, pack_batch([seq], [mask], False))
@@ -571,15 +578,15 @@ def sample_response(
 ) -> list[int]:
     """Autoregressive sampling from a context sequence with a per-call KV cache.
 
-    The context and every position the response may take are packed once
+    The context and every position the response may take are gathered once
     into one batch of length ``seq.n + max_response_length``; each step calls
     ``forward_batch`` on the prefix decoded so far and writes the sampled id
     into the token row. The key columns of the last context row of ``mask``
     apply to every step under causality, so a context key they hide is read
-    by no query. Those hidden rows are packed first, each keeping its
+    by no query. Those hidden rows are gathered first, each keeping its
     position id, and the cache skips them: decoding computes and stores only
     the context positions the knowledge mask leaves visible, and as every
-    stored row is visible to every later one, no mask is built. The hidden
+    stored row is visible to every later one, the calls run causally. The hidden
     rows stay in the batch, unread, only so that each call keeps the shape
     the perfbench tracer counts (the context plus the tokens decoded so far).
     The first call prefills the cache with the visible rows; every later call
@@ -600,24 +607,16 @@ def sample_response(
         raise ValueError("the mask hides the last context key, whose row picks the first token")
     rng = np.random.default_rng(params.seed)
     order = np.argsort(visible, kind="stable")  # hidden rows first, then visible ones in order
-
-    def stream(ids: np.ndarray, fill: int) -> np.ndarray:
-        row = np.full((1, total), fill, dtype=np.int64)
-        row[0, :n0] = ids[order]
-        return row
-
-    pos = np.arange(total, dtype=np.int64)[None, :]
-    pos[0, :n0] = order
-    tok, ent, tri, typ = (stream(seq.token_ids, 0), stream(seq.entity_ids, 0), stream(seq.triple_ids, 0),
-                          stream(seq.type_ids, type_system))
+    batch = gather_batch([seq], [order], total, False)
+    batch.typ[0, n0:] = type_system
     hidden = n0 - int(np.count_nonzero(visible))
     kv = KVCache.empty(state.cfg, total - hidden, state.dtype, skip=hidden)
     out: list[int] = []
     for n in range(n0, total):
-        logits, _ = forward_batch(state, Batch(tok[:, :n], pos[:, :n], ent[:, :n], tri[:, :n], typ[:, :n]), kv=kv)
+        logits, _ = forward_batch(state, batch.span(0, n), kv=kv)
         tok_id = sample_next(logits[0, -1], params, rng)
         if tok_id == eos_id:
             break
         out.append(tok_id)
-        tok[0, n] = tok_id
+        batch.tok[0, n] = tok_id
     return out

@@ -505,12 +505,3 @@ def assemble_input(
     seq.validate()
     return seq
 
-
-def decode_triple_span(seq: InputSequence, vocab: Vocabulary, triple_id: int) -> tuple[str, str]:
-    """Recover (relation surface, object surface) from an emitted triple span."""
-    start, end = seq.triple_spans[triple_id]
-    toks = vocab.decode(seq.token_ids[start:end])
-    if toks[0] != R_TOK or O_TOK not in toks:
-        raise ValueError(f"span of triple {triple_id} is not [R] ... [O] ... shaped")
-    o_at = toks.index(O_TOK)
-    return " ".join(toks[1:o_at]), " ".join(toks[o_at + 1 :])

@@ -15,13 +15,14 @@ import numpy as np
 
 from .corpus import DatasetSplit, DialogueSample
 from .graph_weights import TokenEmbedder, compute_weighted_graph, select_topk
-from .masking import NEG_INF, causal_key_columns, knowledge_column_mask, unmasked_columns
+from .masking import NEG_INF, knowledge_column_mask, unmasked_columns
 from .model import (
     Batch,
     ModelConfig,
     ModelState,
     backward_batch,
     forward_batch,
+    gather_batch,
     init_model,
     loss_batch,
 )
@@ -148,45 +149,23 @@ def build_sample_inputs(
 
 
 def _make_batch(pairs: list[tuple[InputSequence, np.ndarray]]) -> Batch:
-    """Pack each sample's visible rows, with targets, into one padded batch.
+    """Gather each sample's visible rows, with targets, into one causal batch.
 
     A knowledge position whose key column is ``NEG_INF`` is hidden from
     every query row, and it carries no target (targets lie in the response
     span, after [SEP]), so its row changes no logit of another row, no loss
     term and no gradient: dropping it is exact. Each sample keeps the rows its
     columns leave visible and every row after [SEP], with their true position
-    ids in ``pos`` and the response targets shifted onto the kept rows. The
-    mask left holds causality and padding only; padded query rows see key 0.
-    Where every column is visible (the knowledge-mask ablation, or the
-    fallback) nothing is dropped.
+    ids. What the knowledge mask left to hide is gone, so the batch needs no
+    mask: causality alone hides the padding after every real row. Where every
+    column is visible (the knowledge-mask ablation, or the fallback) nothing
+    is dropped.
     """
-    kept = []
-    for seq, cols in pairs:
-        if seq.response_start >= seq.n:
-            raise ValueError("training sample has an empty response span")
-        rows = np.ones(seq.n, dtype=bool)
-        rows[: cols.shape[0]] = cols != NEG_INF
-        kept.append(np.flatnonzero(rows))
-    lengths = np.array([rows.size for rows in kept])
-    b, n = len(pairs), int(lengths.max())
-    tok, ent, tri, typ = (np.zeros((b, n), dtype=np.int64) for _ in range(4))
-    pos = np.broadcast_to(np.arange(n, dtype=np.int64), (b, n)).copy()
-    targets = np.full((b, n), -1, dtype=np.int64)
-    for i, ((seq, _), rows) in enumerate(zip(pairs, kept)):
-        m = rows.size
-        tok[i, :m] = seq.token_ids[rows]
-        pos[i, :m] = seq.position_ids[rows]
-        ent[i, :m] = seq.entity_ids[rows]
-        tri[i, :m] = seq.triple_ids[rows]
-        typ[i, :m] = seq.type_ids[rows]
-        # every dropped row lies before [SEP]: the response rows move up by their count
-        first = seq.response_start - 1 - (seq.n - m)
-        targets[i, first : m - 1] = seq.token_ids[seq.response_start :]
-    mask = causal_key_columns(np.where(np.arange(n) < lengths[:, None], np.float32(0.0), NEG_INF))
-    for i, m in enumerate(lengths):
-        mask[i, m:] = NEG_INF
-        mask[i, m:, 0] = 0.0
-    return Batch(tok, pos, ent, tri, typ, mask, targets)
+    rows = [
+        np.flatnonzero(np.concatenate([cols != NEG_INF, np.ones(seq.n - cols.shape[0], dtype=bool)]))
+        for seq, cols in pairs
+    ]
+    return gather_batch([seq for seq, _ in pairs], rows, max(r.size for r in rows), True)
 
 
 def dataset_loss(

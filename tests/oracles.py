@@ -219,6 +219,15 @@ def loop_assemble(graph, order, history, question, gold_response, token_to_id, l
     }
 
 
+def decode_triple_span(seq, vocab, triple_id: int) -> tuple[str, str]:
+    """(relation surface, object surface) read back from an emitted triple's ``[R] ... [O] ...`` span."""
+    start, end = seq.triple_spans[triple_id]
+    toks = vocab.decode(seq.token_ids[start:end])
+    if toks[0] != "[R]" or "[O]" not in toks:
+        raise ValueError(f"span of triple {triple_id} is not [R] ... [O] ... shaped")
+    o_at = toks.index("[O]")
+    return " ".join(toks[1:o_at]), " ".join(toks[o_at + 1 :])
+
 def naive_attention(q, k, v, m):
     """Triple-loop masked single-head attention."""
     n, dk = q.shape

@@ -309,6 +309,44 @@ class TestBadInput:
         assert "error: invalid config" in err and message in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"batch_size": 2.5}, "'batch_size' must be an integer, not 2.5"),
+        ({"d_model": "abc"}, "'d_model' must be an integer, not \"abc\""),
+        ({"epochs": True}, "'epochs' must be an integer, not true"),
+        ({"lr": "0.1"}, "'lr' must be a number, not \"0.1\""),
+        ({"epochs": None}, "'epochs' must be an integer, not null"),
+        ({"use_kg_mask": "no"}, "'use_kg_mask' must be true or false, not \"no\""),
+        ({"use_kg_mask": 0}, "'use_kg_mask' must be true or false, not 0"),
+        (["lr", 0.1], "must hold one JSON object of config keys"),
+    ])
+    def test_wrong_typed_train_config_file(self, data_dir, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: " in err and message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_wrong_typed_eval_config_file(self, data_dir, run_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_entity": 2.5}))
+        rc = main(["eval", "--ckpt", str(run_dir / "model.ckpt"), "--data", str(data_dir),
+                   "--report", str(tmp_path / "r.json"), "--config", str(cfg)])
+        assert rc == 2
+        assert "'k_entity' must be an integer, not 2.5" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_integer_for_float_config_key(self, data_dir, tmp_path):
+        from kgdialog.cli import build_parser, resolve_config
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": 1, "dropout": 0, "use_kg_mask": False}))
+        resolved = resolve_config(build_parser().parse_args(
+            ["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--config", str(cfg)]))
+        assert (resolved.lr, resolved.dropout, resolved.use_kg_mask) == (1.0, 0.0, False)
+        assert type(resolved.lr) is float and type(resolved.dropout) is float
+
     def test_train_on_empty_corpus(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "empty"), "--n", "0"]) == 0
         rc = main(["train", "--data", str(tmp_path / "empty"), "--out", str(tmp_path / "o"), "--quiet",

@@ -17,12 +17,14 @@ from kgdialog.model import (
     DecodingParams,
     KVCache,
     ModelConfig,
+    _embedding_sum,
     attention,
     backward,
-    embed,
     forward,
     forward_batch,
+    gather_batch,
     init_model,
+    layernorm_fwd,
     loss,
     loss_batch,
     pack_batch,
@@ -71,6 +73,14 @@ def masked_triple_columns(seq):
     cols = knowledge_column_mask(seq, Selection(frozenset({0, 1}), frozenset({0}), 7, 7), GRAPH)
     assert (cols == NEG_INF).any()
     return cols
+
+
+def embed(seq, state):
+    """Layer-normalized sum of the five embedding streams of every row of ``seq``, (n, d_model)."""
+    p = state.params
+    batch = gather_batch([seq], [np.arange(seq.n)], seq.n, False)
+    h, _ = layernorm_fwd(_embedding_sum(p, state.cfg, batch), p["ln_e.g"], p["ln_e.b"])
+    return h[0]
 
 
 class TestEmbed:
@@ -170,8 +180,8 @@ class TestForward:
         p = state.params
         x = p["tok_emb"][seq.token_ids] + p["pos_emb"][np.arange(seq.n)]
         x += p["ent_emb"][seq.entity_ids] + p["tri_emb"][seq.triple_ids] + p["typ_emb"][seq.type_ids]
-        h, _ = __import__("kgdialog.model", fromlist=["layernorm_fwd"]).layernorm_fwd(x, p["ln_e.g"], p["ln_e.b"])
-        hf, _ = __import__("kgdialog.model", fromlist=["layernorm_fwd"]).layernorm_fwd(h, p["ln_f.g"], p["ln_f.b"])
+        h, _ = layernorm_fwd(x, p["ln_e.g"], p["ln_e.b"])
+        hf, _ = layernorm_fwd(h, p["ln_f.g"], p["ln_f.b"])
         np.testing.assert_allclose(logits, hf @ p["tok_emb"].T, atol=1e-5)
 
     def test_duplicated_sample_identical_logits(self):
@@ -181,6 +191,27 @@ class TestForward:
         batch = pack_batch([seq, seq], [mask, mask], False)
         logits, _ = forward_batch(state, batch)
         np.testing.assert_array_equal(logits[0], logits[1])
+
+    def test_identity_gather_is_pack_batch(self):
+        seqs = [make_seq(), make_seq(gold="it is o1 of s1 and o2")]
+        n = max(s.n for s in seqs)
+        packed = pack_batch(seqs, [compose_mask(s, unmasked_columns(s), n - s.n) for s in seqs], True)
+        gathered = gather_batch(seqs, [np.arange(s.n) for s in seqs], n, True)
+        assert gathered.mask is None
+        for name in ("tok", "pos", "ent", "tri", "typ", "targets"):
+            np.testing.assert_array_equal(getattr(gathered, name), getattr(packed, name))
+
+    def test_maskless_padded_batch_is_causal(self):
+        seqs = [make_seq(), make_seq(gold="it is o1 of s1 and o2")]
+        n = max(s.n for s in seqs)
+        assert len({s.n for s in seqs}) == 2
+        state = init_model(make_model().cfg, seed=3, dtype=np.float64)
+        logits, _ = forward_batch(state, gather_batch(seqs, [np.arange(s.n) for s in seqs], n, False))
+        masks = [compose_mask(s, unmasked_columns(s), n - s.n) for s in seqs]
+        masked, _ = forward_batch(state, pack_batch(seqs, masks, False))
+        for i, seq in enumerate(seqs):
+            np.testing.assert_array_equal(logits[i, : seq.n], masked[i, : seq.n])
+            np.testing.assert_allclose(logits[i, : seq.n], forward(seq, full_mask(seq), state), rtol=1e-10, atol=1e-12)
 
     def test_matches_dense_float64_reference(self, rng):
         # independent single-sequence re-implementation with plain loops over heads

@@ -14,7 +14,6 @@ from kgdialog.sequence import (
     TYPE_USER,
     assemble_input,
     build_vocab,
-    decode_triple_span,
     identity_order,
     linearize_graph,
     load_vocab,
@@ -22,6 +21,8 @@ from kgdialog.sequence import (
     shuffled_order,
     vocab_sha256,
 )
+
+from oracles import decode_triple_span
 
 STARBUCKS = build_graph(
     [["starbucks", "distance", "4 miles"], ["starbucks", "address", "792 bedoin st"]]

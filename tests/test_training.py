@@ -169,7 +169,7 @@ class TestVisibleRowBatch:
         assert len(set(lengths)) > 1  # padded
         assert (sum(lengths) < sum(seq.n for seq, _ in pairs)) == drops
         if not drops:
-            for name in ("tok", "pos", "ent", "tri", "typ", "mask", "targets"):
+            for name in ("tok", "pos", "ent", "tri", "typ", "targets"):
                 np.testing.assert_array_equal(getattr(batch, name), getattr(full, name))
 
         value, grads = self._loss_and_grads(state, batch)
