@@ -139,6 +139,7 @@ _ABLATIONS = {
 _FLAG_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 # the JSON values a config file may give a field of each type; true and false are no numbers
 _JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "bool": (bool, "true or false")}
+_KINDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}  # config key -> type name
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -158,23 +159,37 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                                 help=f"default: {f.default}")
 
 
+def _typed_config(doc: dict, source: str) -> dict:
+    """JSON config values checked against their ``RunConfig`` field types and converted.
+
+    ``source`` (a config file or checkpoint) begins the ``SchemaError`` raised
+    for an unknown key or a value of the wrong type.
+    """
+    unknown = doc.keys() - _KINDS
+    if unknown:
+        raise SchemaError(f"{source}: unknown config keys: {sorted(unknown)}")
+    values = {}
+    for k, v in doc.items():
+        types, what = _JSON_TYPES[_KINDS[k]]
+        if not isinstance(v, types) or isinstance(v, bool) != (_KINDS[k] == "bool"):
+            raise SchemaError(f"{source}: config key {k!r} must be {what}, not {json.dumps(v)}")
+        values[k] = _FLAG_TYPES[_KINDS[k]](v)
+    return values
+
+
 def resolve_config(args: argparse.Namespace, base: dict | None = None) -> RunConfig:
-    """Defaults, then ``base``, then the config file, then ablations, then flags; later wins."""
+    """Defaults, then ``base``, then the config file, then ablations, then flags; later wins.
+
+    ``base`` holds values already checked by ``_typed_config``.
+    """
     cfg = RunConfig(**(base or {}))
-    kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     path = args.config or (Path(os.environ[ENV_CONFIG]) if os.environ.get(ENV_CONFIG) else None)
     if path is not None:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise SchemaError(f"{path}: a config file must hold one JSON object of config keys")
-        unknown = doc.keys() - kinds
-        if unknown:
-            raise SchemaError(f"{path}: unknown config keys: {sorted(unknown)}")
-        for k, v in doc.items():
-            types, what = _JSON_TYPES[kinds[k]]
-            if not isinstance(v, types) or isinstance(v, bool) != (kinds[k] == "bool"):
-                raise SchemaError(f"{path}: config key {k!r} must be {what}, not {json.dumps(v)}")
-            setattr(cfg, k, _FLAG_TYPES[kinds[k]](v))
+        for k, v in _typed_config(doc, str(path)).items():
+            setattr(cfg, k, v)
     if getattr(args, "ablation", None):
         for name in args.ablation.split(","):
             name = name.strip()
@@ -182,7 +197,7 @@ def resolve_config(args: argparse.Namespace, base: dict | None = None) -> RunCon
                 raise SchemaError(f"unknown ablation {name!r}; choose from {sorted(_ABLATIONS)}")
             for k, v in _ABLATIONS[name].items():
                 setattr(cfg, k, v)
-    for name in kinds:
+    for name in _KINDS:
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
@@ -210,7 +225,8 @@ def _load_run(args: argparse.Namespace) -> tuple[Vocabulary, ModelState, RunConf
     vocab = load_vocab(vocab_path)
     state, header = load_checkpoint(args.ckpt, expect_vocab_sha=vocab_sha256(vocab))
     saved = header.get("run_config", {})
-    cfg = resolve_config(args, {key: saved[key] for key in _CHECKPOINT_KEYS if key in saved})
+    base = _typed_config({key: saved[key] for key in _CHECKPOINT_KEYS if key in saved}, f"{args.ckpt}: run config")
+    cfg = resolve_config(args, base)
     return vocab, state, cfg
 
 

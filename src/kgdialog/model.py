@@ -10,7 +10,8 @@ batch with true position ids; a batch without a mask attends causally.
 Decoding prefills a per-call ``KVCache`` with
 the keys and values of the context positions the knowledge mask leaves
 visible, then computes one new row per step; the cache holds only rows every
-later row may read, so cached calls take no mask.
+later row may read, so cached calls take no mask. A cached call that adds one
+row runs on that row's (d,) vectors.
 """
 
 from __future__ import annotations
@@ -146,10 +147,16 @@ def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * (x * x)))
 
 
+# Means are np.add.reduce(...) / d rather than ndarray.mean, whose Python-level
+# wrapper costs more than a one-row reduction. The result is bit-identical:
+# NumPy's float32 mean divides the float32 sum in float64 and rounds, which
+# equals the correctly rounded float32 division.
+
+
 def layernorm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     invstd = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * invstd
     return xhat * g + b, (xhat, invstd)
@@ -160,8 +167,9 @@ def layernorm_bwd(dy: np.ndarray, cache, g: np.ndarray):
     dg = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
     db = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    d = dy.shape[-1]
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
     dx = invstd * (dxhat - m1 - xhat * m2)
     return dx, dg, db
 
@@ -288,15 +296,18 @@ def _dropout_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarra
     return (u >= p).astype(dtype) / dtype.type(1.0 - p)
 
 
-def _embedding_sum(p: dict[str, np.ndarray], cfg: ModelConfig, batch: Batch) -> np.ndarray:
-    """Sum of the token and position tables and the enabled entity, triple and type tables."""
-    x = p["tok_emb"][batch.tok] + p["pos_emb"][batch.pos]
+def _embedding_sum(p: dict[str, np.ndarray], cfg: ModelConfig, tok, pos, ent, tri, typ) -> np.ndarray:
+    """Sum of the token and position tables and the enabled entity, triple and type tables.
+
+    The five ids are index arrays of one shape, or five scalars for one row's (d,) vector.
+    """
+    x = p["tok_emb"][tok] + p["pos_emb"][pos]
     if cfg.use_entity_emb:
-        x = x + p["ent_emb"][batch.ent]
+        x = x + p["ent_emb"][ent]
     if cfg.use_triple_emb:
-        x = x + p["tri_emb"][batch.tri]
+        x = x + p["tri_emb"][tri]
     if cfg.use_type_emb:
-        x = x + p["typ_emb"][batch.typ]
+        x = x + p["typ_emb"][typ]
     return x
 
 
@@ -316,7 +327,8 @@ def forward_batch(
     visible to them, so the call reads no mask. The new rows attend to the
     stored rows and to each other, and their keys and values are appended to
     the cache. The logits returned are the new rows' alone. Cached calls are
-    eval-mode only and return no backward cache (None).
+    eval-mode only and return no backward cache (None). A cached call that
+    adds one row, each decode step's, runs in ``_forward_row``.
     """
     cfg, p = state.cfg, state.params
     bsz, n = batch.shape
@@ -327,6 +339,8 @@ def forward_batch(
         start, past = kv.skip + kv.rows, kv.rows
         if kv.k.shape[1] != bsz or not start < n <= kv.skip + kv.k.shape[3]:
             raise ValueError(f"batch of {bsz} x {n} does not extend a KV cache of {kv.k.shape[1]} x {start}")
+        if bsz == 1 and n - start == 1:
+            return _forward_row(state, batch, kv), None
         batch = batch.span(start, n)  # the new rows only
     _check_bounds(batch, cfg)
     dt = state.dtype
@@ -335,7 +349,8 @@ def forward_batch(
     if drop > 0.0 and rng is None:
         raise ValueError("training-mode forward needs an RNG for dropout")
 
-    h, ln_e_cache = layernorm_fwd(_embedding_sum(p, cfg, batch), p["ln_e.g"], p["ln_e.b"])
+    x = _embedding_sum(p, cfg, batch.tok, batch.pos, batch.ent, batch.tri, batch.typ)
+    h, ln_e_cache = layernorm_fwd(x, p["ln_e.g"], p["ln_e.b"])
     emb_drop = None
     if drop > 0.0:
         emb_drop = _dropout_mask(rng, h.shape, drop, np.dtype(dt))
@@ -397,6 +412,43 @@ def forward_batch(
 
     cache = dict(batch=batch, emb_drop=emb_drop, ln_e=ln_e_cache, layers=layers, hf=hf, ln_f=ln_f_cache)
     return logits, cache
+
+
+def _forward_row(state: ModelState, batch: Batch, kv: KVCache) -> np.ndarray:
+    """``forward_batch`` for a cached call that adds the one row ``kv.skip + kv.rows``.
+
+    The same computation on that row's (d,) vectors, so a decode step pays no
+    per-call cost for batch and row axes. Returns (1, 1, vocab) logits.
+    """
+    cfg, p = state.cfg, state.params
+    j, slot = kv.skip + kv.rows, kv.rows
+    ids = [int(a[0, j]) for a in (batch.tok, batch.pos, batch.ent, batch.tri, batch.typ)]
+    sizes = (cfg.vocab_size, cfg.max_positions, cfg.max_entity_ids, cfg.max_triple_ids, cfg.n_types)
+    for name, i, bound in zip(("token", "position", "entity", "triple", "type"), ids, sizes):
+        if not 0 <= i < bound:
+            raise IndexError(f"{name} stream index out of range: [{i}, {i}] vs table size {bound}")
+
+    nh, dh = cfg.n_heads, cfg.d_head
+    filled = slot + 1
+    h, _ = layernorm_fwd(_embedding_sum(p, cfg, *ids), p["ln_e.g"], p["ln_e.b"])
+    for i in range(cfg.n_layers):
+        pre = f"h{i}."
+        a_in, _ = layernorm_fwd(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
+        q = a_in @ p[pre + "attn.wq"] + p[pre + "attn.bq"]
+        kv.k[i, 0, :, slot] = (a_in @ p[pre + "attn.wk"] + p[pre + "attn.bk"]).reshape(nh, dh)
+        kv.v[i, 0, :, slot] = (a_in @ p[pre + "attn.wv"] + p[pre + "attn.bv"]).reshape(nh, dh)
+        ctx, _ = attention(q.reshape(nh, 1, dh), kv.k[i, 0, :, :filled], kv.v[i, 0, :, :filled], 0.0)
+        h = h + (ctx.reshape(cfg.d_model) @ p[pre + "attn.wo"] + p[pre + "attn.bo"])
+        f_in, _ = layernorm_fwd(h, p[pre + "ln2.g"], p[pre + "ln2.b"])
+        a1, _ = gelu(f_in @ p[pre + "ff.w1"] + p[pre + "ff.b1"])
+        h = h + (a1 @ p[pre + "ff.w2"] + p[pre + "ff.b2"])
+
+    hf, _ = layernorm_fwd(h, p["ln_f.g"], p["ln_f.b"])
+    logits = hf @ p["tok_emb"].T
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError("non-finite logits in forward pass")
+    kv.rows = filled
+    return logits.reshape(1, 1, -1)
 
 
 def backward_batch(state: ModelState, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:

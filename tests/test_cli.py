@@ -337,6 +337,26 @@ class TestBadInput:
         assert "'k_entity' must be an integer, not 2.5" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("use_kg_mask", "no", "'use_kg_mask' must be true or false, not \"no\""),
+        ("k_entity", 2.5, "'k_entity' must be an integer, not 2.5"),
+        ("temperature", "0.5", "'temperature' must be a number, not \"0.5\""),
+    ])
+    def test_wrong_typed_checkpoint_run_config(self, data_dir, run_dir, tmp_path, capsys, key, value, message):
+        import shutil
+
+        from kgdialog.checkpoint import load_checkpoint, save_checkpoint
+
+        state, header = load_checkpoint(run_dir / "model.ckpt")
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, state, header["vocab_sha256"], {**header["run_config"], key: value})
+        shutil.copy(run_dir / "vocab.txt", tmp_path / "vocab.txt")
+        rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir), "--report", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}: run config: config key {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_integer_for_float_config_key(self, data_dir, tmp_path):
         from kgdialog.cli import build_parser, resolve_config
 

@@ -24,6 +24,7 @@ from kgdialog.model import (
     forward_batch,
     gather_batch,
     init_model,
+    layernorm_bwd,
     layernorm_fwd,
     loss,
     loss_batch,
@@ -79,7 +80,8 @@ def embed(seq, state):
     """Layer-normalized sum of the five embedding streams of every row of ``seq``, (n, d_model)."""
     p = state.params
     batch = gather_batch([seq], [np.arange(seq.n)], seq.n, False)
-    h, _ = layernorm_fwd(_embedding_sum(p, state.cfg, batch), p["ln_e.g"], p["ln_e.b"])
+    x = _embedding_sum(p, state.cfg, batch.tok, batch.pos, batch.ent, batch.tri, batch.typ)
+    h, _ = layernorm_fwd(x, p["ln_e.g"], p["ln_e.b"])
     return h[0]
 
 
@@ -472,27 +474,66 @@ class TestSampling:
 
 class TestKVCache:
     def test_cached_rows_match_full_prefix_forward(self):
+        self.check_cached_rows(scaled_model(n_layers=2))
+
+    @pytest.mark.parametrize("table", ["use_entity_emb", "use_triple_emb", "use_type_emb"])
+    def test_cached_rows_without_table(self, table):
+        self.check_cached_rows(scaled_model(n_layers=2, **{table: False}))
+
+    def check_cached_rows(self, state):
+        """Cached logits and stored keys and values against one full-prefix forward pass."""
         seq = make_seq()
-        state = scaled_model(n_layers=2)
         mask = compose_mask(seq, masked_triple_columns(seq))
-        full = forward(seq, mask, state)
+        full_batch = pack_batch([seq], [mask], False)
+        full, cache = forward_batch(state, full_batch)
+        full = full[0]
         visible = mask.values[seq.n - 1] != NEG_INF
         order = np.argsort(visible, kind="stable")  # hidden rows first, each with its own position id
         hidden = seq.n - int(np.count_nonzero(visible))
-        assert 0 < hidden < seq.n - 5
-        packed = pack_batch([seq], [mask], False)
-        streams = [a[:, order] for a in (packed.tok, packed.pos, packed.ent, packed.tri, packed.typ)]
+        assert 0 < hidden < seq.n - 6
+        streams = [a[:, order] for a in (full_batch.tok, full_batch.pos, full_batch.ent, full_batch.tri,
+                                         full_batch.typ)]
         kv = KVCache.empty(state.cfg, seq.n - hidden, state.dtype, skip=hidden)
-        # prefill, two single-row steps, then one 3-row chunk
-        for n in (seq.n - 5, seq.n - 4, seq.n - 3, seq.n):
+        # prefill, three single-row steps, then one 3-row chunk
+        for n in (seq.n - 6, seq.n - 5, seq.n - 4, seq.n - 3, seq.n):
             start = kv.skip + kv.rows
-            logits, cache = forward_batch(state, Batch(*(a[:, :n] for a in streams)), kv=kv)
-            assert cache is None and kv.skip + kv.rows == n
+            logits, step_cache = forward_batch(state, Batch(*(a[:, :n] for a in streams)), kv=kv)
+            assert step_cache is None and kv.skip + kv.rows == n
             assert logits.shape == (1, n - start, len(VOCAB))
             # float32 sums run in another order over fewer rows; a logit near zero is judged
             # against its row's scale rather than its own
             want = full[order[start:n]]
             np.testing.assert_allclose(logits[0], want, rtol=1e-5, atol=1e-5 * float(np.abs(want).max()))
+        # slot j of the cache holds the keys and values of batch row hidden + j
+        for i, layer in enumerate(cache["layers"]):
+            for stored, ref in ((kv.k[i], layer["k"]), (kv.v[i], layer["v"])):
+                want = ref[:, :, order[hidden:]]
+                np.testing.assert_allclose(stored, want, rtol=1e-5, atol=1e-5 * float(np.abs(want).max()))
+
+    def prefilled(self, state, seq):
+        """A cache prefilled with every row of ``seq`` but the last, and the batch of all rows."""
+        batch = gather_batch([seq], [np.arange(seq.n)], seq.n, False)
+        kv = KVCache.empty(state.cfg, seq.n, state.dtype)
+        forward_batch(state, batch.span(0, seq.n - 1), kv=kv)
+        return batch, kv
+
+    def test_one_row_step_position_past_table_refused(self):
+        seq = make_seq()
+        state = make_model(max_positions=seq.n + 1)
+        batch, kv = self.prefilled(state, seq)
+        batch.pos[0, seq.n - 1] = seq.n + 1
+        with pytest.raises(IndexError, match=rf"position stream index out of range: \[{seq.n + 1}, {seq.n + 1}\] "
+                                             rf"vs table size {seq.n + 1}"):
+            forward_batch(state, batch, kv=kv)
+        assert kv.rows == seq.n - 1
+
+    def test_one_row_step_non_finite_weight_refused(self):
+        seq = make_seq()
+        state = make_model()
+        batch, kv = self.prefilled(state, seq)
+        state.params["ln_f.g"][0] = np.nan
+        with pytest.raises(FloatingPointError):
+            forward_batch(state, batch, kv=kv)
 
     def test_train_mode_and_stale_batches_refused(self):
         seq = make_seq()
@@ -518,6 +559,28 @@ class TestAblationEquivalence:
         la = forward(seq, mask, ablated)
         lz = forward(seq, mask, zeroed)
         np.testing.assert_array_equal(la, lz)
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [16, 100, 128, 130])
+    @pytest.mark.parametrize("lead", [(7,), (3, 5)])
+    def test_equals_mean_formulas_bit_for_bit(self, rng, dtype, width, lead):
+        x, dy = (rng.normal(size=lead + (width,)).astype(dtype) * 3 + 1 for _ in range(2))
+        g, b = (rng.normal(size=width).astype(dtype) for _ in range(2))
+        mu = x.mean(axis=-1, keepdims=True)
+        xc = x - mu
+        invstd = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * invstd
+        y, cache = layernorm_fwd(x, g, b)
+        for got, want in zip((y, *cache), (xhat * g + b, xhat, invstd)):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+        dxhat = dy * g
+        dx = invstd * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        got_dx, _, _ = layernorm_bwd(dy, cache, g)
+        assert got_dx.dtype == dtype
+        np.testing.assert_array_equal(got_dx, dx)
 
 
 class TestSoftmaxRows:
