@@ -7,6 +7,9 @@ tied to the token table. Forward caches every intermediate needed by the
 hand-written backward pass, which is validated against central finite
 differences in the test suite. One row gather, ``gather_batch``, packs every
 batch with true position ids; a batch without a mask attends causally.
+``Batch.lengths`` counts each sample's real rows: uncached forward and
+backward run every row-wise op on those rows alone, flattened to (R, d),
+and only attention sees the padded (B, heads, n, d_head) layout.
 Decoding prefills a per-call ``KVCache`` with
 the keys and values of the context positions the knowledge mask leaves
 visible, then computes one new row per step; the cache holds only rows every
@@ -138,13 +141,37 @@ _GELU_A = 0.044715
 
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh-form GELU; also returns the inner tanh for reuse in the backward pass."""
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    """Tanh-form GELU; also returns the inner tanh for reuse in the backward pass.
+
+    In-place ufuncs in the order of 0.5 * x * (1 + tanh(c * (x + a * x**3))),
+    so the result is bit-identical to the expression with fewer temporaries.
+    """
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 0.5 * x
+    y *= 1.0 + t
+    return y, t
 
 
 def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * (x * x)))
+    """d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t**2) c (1 + 3 a x**2), in place in that order."""
+    s = x * x
+    s *= 3.0 * _GELU_A
+    s += 1.0
+    s *= _GELU_C
+    u = t * t
+    np.subtract(1.0, u, out=u)
+    g = 0.5 * x
+    g *= u
+    g *= s
+    np.add(t, 1.0, out=u)
+    u *= 0.5
+    g += u
+    return g
 
 
 # Means are np.add.reduce(...) / d rather than ndarray.mean, whose Python-level
@@ -195,7 +222,12 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, m: np.ndarray) -> tup
 
 @dataclass
 class Batch:
-    """Padded index streams for a list of sequences; no mask means causal attention."""
+    """Padded index streams for a list of sequences; no mask means causal attention.
+
+    ``lengths[i]`` counts sample ``i``'s real rows, which come first; the rows
+    after them are padding, which the uncached ``forward_batch`` and
+    ``backward_batch`` do not compute. No lengths means every row is real.
+    """
 
     tok: np.ndarray  # (B, n) int64
     pos: np.ndarray
@@ -204,14 +236,22 @@ class Batch:
     typ: np.ndarray
     mask: np.ndarray | None = None  # (B, n, n) float32 additive
     targets: np.ndarray | None = None  # (B, n) int64 aligned to logit rows; -1 = ignore
+    lengths: np.ndarray | None = None  # (B,) int64 real rows per sample
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.tok.shape
 
     def span(self, start: int, stop: int) -> "Batch":
-        """Rows ``start:stop`` of the five streams, without mask or targets."""
+        """Rows ``start:stop`` of the five streams, without mask, targets or lengths: every row is real."""
         return Batch(*(a[:, start:stop] for a in (self.tok, self.pos, self.ent, self.tri, self.typ)))
+
+    def real_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(sample, row) indices of the real rows in row-major order, or None when no row is padding."""
+        bsz, n = self.shape
+        if self.lengths is None or np.all(self.lengths == n):
+            return None
+        return np.nonzero(np.arange(n) < self.lengths[:, None])
 
 
 def gather_batch(seqs: list[InputSequence], rows: list[np.ndarray], width: int, with_targets: bool) -> Batch:
@@ -221,7 +261,8 @@ def gather_batch(seqs: list[InputSequence], rows: list[np.ndarray], width: int, 
     ``pos``, which counts on. Row ``j``'s target is the token of row ``j + 1``
     when that row lies in the response span, and -1 otherwise. No mask is set:
     padding follows every real row, so causality alone hides it, and it
-    carries no target.
+    carries no target. ``lengths[i]`` is ``rows[i].size``, so forward and
+    backward compute no padding row.
     """
     b = len(seqs)
     tok, ent, tri, typ = (np.zeros((b, width), dtype=np.int64) for _ in range(4))
@@ -240,7 +281,8 @@ def gather_batch(seqs: list[InputSequence], rows: list[np.ndarray], width: int, 
             if not answer.any():
                 raise ValueError("training sample has an empty response span")
             targets[i, : m - 1] = np.where(answer, s.token_ids[nxt], -1)
-    return Batch(tok, pos, ent, tri, typ, targets=targets)
+    lengths = np.array([r.size for r in rows], dtype=np.int64)
+    return Batch(tok, pos, ent, tri, typ, targets=targets, lengths=lengths)
 
 
 def pack_batch(
@@ -311,6 +353,49 @@ def _embedding_sum(p: dict[str, np.ndarray], cfg: ModelConfig, tok, pos, ent, tr
     return x
 
 
+# Row-wise ops run on the (R, ...) real rows of a batch; only attention needs the
+# padded (B, heads, n, d_head) layout. ``real`` is Batch.real_rows(): None when
+# every row is real, and the layouts are then plain reshapes of each other.
+
+
+def _take_rows(a: np.ndarray, real) -> np.ndarray:
+    """(B, n, ...) -> (R, ...): the real rows, row-major."""
+    return a.reshape(-1, *a.shape[2:]) if real is None else a[real]
+
+
+def _pad_rows(x: np.ndarray, real, bsz: int, n: int) -> np.ndarray:
+    """(R, ...) -> (B, n, ...), zeros in the padding rows."""
+    if real is None:
+        return x.reshape(bsz, n, *x.shape[1:])
+    out = np.zeros((bsz, n, *x.shape[1:]), dtype=x.dtype)
+    out[real] = x
+    return out
+
+
+def _to_heads(x: np.ndarray, real, bsz: int, n: int, nh: int) -> np.ndarray:
+    """(R, d) -> (B, heads, n, d_head), zeros in the padding rows."""
+    return _pad_rows(x, real, bsz, n).reshape(bsz, n, nh, -1).transpose(0, 2, 1, 3)
+
+
+def _from_heads(x: np.ndarray, real) -> np.ndarray:
+    """(B, heads, n, d_head) -> (R, d): the real rows, heads concatenated."""
+    bsz, nh, n, dh = x.shape
+    return _take_rows(x.transpose(0, 2, 1, 3), real).reshape(-1, nh * dh)
+
+
+def scatter_add_rows(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``out[ids[j]] += rows[j]`` for every ``j``, repeated ids summed, as ``np.add.at`` does.
+
+    Sorts the ids stably, sums each run of equal ids with one
+    ``np.add.reduceat`` and adds the sums to their rows: much faster than
+    ``np.add.at``, and its cost grows with the R rows, not with the table.
+    """
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    out[ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
+
+
 def forward_batch(
     state: ModelState,
     batch: Batch,
@@ -322,13 +407,19 @@ def forward_batch(
 
     Attention reads ``batch.mask`` when the caller supplies one; otherwise
     the batch is causal: the row in key slot ``r`` reads slots ``0..r``.
+    Only the real rows ``batch.lengths`` counts are computed: every op but
+    attention runs on them alone, and attention on the padded layout, with
+    zero queries, keys and values in the padding rows, which no real row
+    reads. The (B, n, vocab) logits are zero in the padding rows. Dropout
+    masks are drawn at the padded shape, so they do not depend on padding.
     With a ``kv`` cache, only rows ``[kv.skip + kv.rows:n]`` of ``batch`` are
-    computed, and they always run causally: every row the cache stores is
-    visible to them, so the call reads no mask. The new rows attend to the
-    stored rows and to each other, and their keys and values are appended to
-    the cache. The logits returned are the new rows' alone. Cached calls are
-    eval-mode only and return no backward cache (None). A cached call that
-    adds one row, each decode step's, runs in ``_forward_row``.
+    computed, whatever its lengths, and they always run causally: every row
+    the cache stores is visible to them, so the call reads no mask. The new
+    rows attend to the stored rows and to each other, and their keys and
+    values are appended to the cache. The logits returned are the new rows'
+    alone. Cached calls are eval-mode only and return no backward cache
+    (None). A cached call that adds one row, each decode step's, runs in
+    ``_forward_row``.
     """
     cfg, p = state.cfg, state.params
     bsz, n = batch.shape
@@ -344,19 +435,24 @@ def forward_batch(
         batch = batch.span(start, n)  # the new rows only
     _check_bounds(batch, cfg)
     dt = state.dtype
-    nh, dh = cfg.n_heads, cfg.d_head
+    d, nh = cfg.d_model, cfg.n_heads
     drop = cfg.dropout if train else 0.0
     if drop > 0.0 and rng is None:
         raise ValueError("training-mode forward needs an RNG for dropout")
 
-    x = _embedding_sum(p, cfg, batch.tok, batch.pos, batch.ent, batch.tri, batch.typ)
-    h, ln_e_cache = layernorm_fwd(x, p["ln_e.g"], p["ln_e.b"])
+    rows = n - start
+    real = batch.real_rows()
+
+    def dropout_mask() -> np.ndarray:
+        return _take_rows(_dropout_mask(rng, (bsz, rows, d), drop, np.dtype(dt)), real)
+
+    ids = tuple(_take_rows(a, real) for a in (batch.tok, batch.pos, batch.ent, batch.tri, batch.typ))
+    h, ln_e_cache = layernorm_fwd(_embedding_sum(p, cfg, *ids), p["ln_e.g"], p["ln_e.b"])
     emb_drop = None
     if drop > 0.0:
-        emb_drop = _dropout_mask(rng, h.shape, drop, np.dtype(dt))
+        emb_drop = dropout_mask()
         h = h * emb_drop
 
-    rows = n - start
     filled = past + rows  # key slots after this call; new row r sits in slot past + r
     if batch.mask is not None:
         add_mask = batch.mask.astype(dt)[:, None, :, :]  # broadcast over heads
@@ -366,19 +462,19 @@ def forward_batch(
     for i in range(cfg.n_layers):
         pre = f"h{i}."
         a_in, ln1_cache = layernorm_fwd(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        q = (a_in @ p[pre + "attn.wq"] + p[pre + "attn.bq"]).reshape(bsz, rows, nh, dh).transpose(0, 2, 1, 3)
-        k = (a_in @ p[pre + "attn.wk"] + p[pre + "attn.bk"]).reshape(bsz, rows, nh, dh).transpose(0, 2, 1, 3)
-        v = (a_in @ p[pre + "attn.wv"] + p[pre + "attn.bv"]).reshape(bsz, rows, nh, dh).transpose(0, 2, 1, 3)
+        q = _to_heads(a_in @ p[pre + "attn.wq"] + p[pre + "attn.bq"], real, bsz, rows, nh)
+        k = _to_heads(a_in @ p[pre + "attn.wk"] + p[pre + "attn.bk"], real, bsz, rows, nh)
+        v = _to_heads(a_in @ p[pre + "attn.wv"] + p[pre + "attn.bv"], real, bsz, rows, nh)
         if kv is not None:
             kv.k[i, :, :, kv.rows : filled] = k
             kv.v[i, :, :, kv.rows : filled] = v
             k, v = kv.k[i, :, :, :filled], kv.v[i, :, :, :filled]
         ctx, probs = attention(q, k, v, add_mask)
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(bsz, rows, cfg.d_model)
+        ctx = _from_heads(ctx, real)
         attn_out = ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
         attn_drop = None
         if drop > 0.0:
-            attn_drop = _dropout_mask(rng, attn_out.shape, drop, np.dtype(dt))
+            attn_drop = dropout_mask()
             attn_out = attn_out * attn_drop
         h_mid = h + attn_out
 
@@ -388,7 +484,7 @@ def forward_batch(
         f_out = a1 @ p[pre + "ff.w2"] + p[pre + "ff.b2"]
         ff_drop = None
         if drop > 0.0:
-            ff_drop = _dropout_mask(rng, f_out.shape, drop, np.dtype(dt))
+            ff_drop = dropout_mask()
             f_out = f_out * ff_drop
         h_next = h_mid + f_out
 
@@ -396,8 +492,8 @@ def forward_batch(
             layers.append(
                 dict(
                     a_in=a_in, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, ctx=ctx,
-                    attn_drop=attn_drop, h_in=h, f_in=f_in, ln2=ln2_cache, z1=z1, a1=a1,
-                    tanh1=tanh1, ff_drop=ff_drop, h_mid=h_mid,
+                    attn_drop=attn_drop, f_in=f_in, ln2=ln2_cache, z1=z1, a1=a1,
+                    tanh1=tanh1, ff_drop=ff_drop,
                 )
             )
         h = h_next
@@ -406,11 +502,12 @@ def forward_batch(
     logits = hf @ p["tok_emb"].T
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
+    logits = _pad_rows(logits, real, bsz, rows)
     if kv is not None:
         kv.rows = filled
         return logits, None
 
-    cache = dict(batch=batch, emb_drop=emb_drop, ln_e=ln_e_cache, layers=layers, hf=hf, ln_f=ln_f_cache)
+    cache = dict(ids=ids, real=real, emb_drop=emb_drop, ln_e=ln_e_cache, layers=layers, hf=hf, ln_f=ln_f_cache)
     return logits, cache
 
 
@@ -452,16 +549,16 @@ def _forward_row(state: ModelState, batch: Batch, kv: KVCache) -> np.ndarray:
 
 
 def backward_batch(state: ModelState, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients for every parameter given d(loss)/d(logits)."""
+    """Gradients for every parameter given d(loss)/d(logits), over the real rows alone."""
     cfg, p = state.cfg, state.params
-    batch: Batch = cache["batch"]
-    bsz, n = batch.shape
-    d, nh, dh = cfg.d_model, cfg.n_heads, cfg.d_head
+    real = cache["real"]
+    bsz, n = dlogits.shape[:2]
+    nh, dh = cfg.n_heads, cfg.d_head
     scale = 1.0 / math.sqrt(dh)
     grads = {k: np.zeros_like(v) for k, v in p.items()}
 
-    hf = cache["hf"]
-    grads["tok_emb"] += dlogits.reshape(-1, dlogits.shape[-1]).T @ hf.reshape(-1, d)
+    dlogits = _take_rows(dlogits, real)
+    grads["tok_emb"] += dlogits.T @ cache["hf"]
     dh_cur = dlogits @ p["tok_emb"]
     dh_cur, dg, db = layernorm_bwd(dh_cur, cache["ln_f"], p["ln_f.g"])
     grads["ln_f.g"] += dg
@@ -472,15 +569,11 @@ def backward_batch(state: ModelState, cache: dict, dlogits: np.ndarray) -> dict[
         lc = cache["layers"][i]
 
         d_f_out = dh_cur if lc["ff_drop"] is None else dh_cur * lc["ff_drop"]
-        a1_2d = lc["a1"].reshape(-1, cfg.d_ff)
-        d_f_out_2d = d_f_out.reshape(-1, d)
-        grads[pre + "ff.w2"] += a1_2d.T @ d_f_out_2d
-        grads[pre + "ff.b2"] += d_f_out_2d.sum(axis=0)
+        grads[pre + "ff.w2"] += lc["a1"].T @ d_f_out
+        grads[pre + "ff.b2"] += d_f_out.sum(axis=0)
         d_z1 = (d_f_out @ p[pre + "ff.w2"].T) * gelu_grad(lc["z1"], lc["tanh1"])
-        f_in_2d = lc["f_in"].reshape(-1, d)
-        d_z1_2d = d_z1.reshape(-1, cfg.d_ff)
-        grads[pre + "ff.w1"] += f_in_2d.T @ d_z1_2d
-        grads[pre + "ff.b1"] += d_z1_2d.sum(axis=0)
+        grads[pre + "ff.w1"] += lc["f_in"].T @ d_z1
+        grads[pre + "ff.b1"] += d_z1.sum(axis=0)
         d_f_in = d_z1 @ p[pre + "ff.w1"].T
         d_h_mid, dg, db = layernorm_bwd(d_f_in, lc["ln2"], p[pre + "ln2.g"])
         grads[pre + "ln2.g"] += dg
@@ -488,11 +581,9 @@ def backward_batch(state: ModelState, cache: dict, dlogits: np.ndarray) -> dict[
         dh_cur = dh_cur + d_h_mid
 
         d_attn_out = dh_cur if lc["attn_drop"] is None else dh_cur * lc["attn_drop"]
-        ctx_2d = lc["ctx"].reshape(-1, d)
-        d_attn_2d = d_attn_out.reshape(-1, d)
-        grads[pre + "attn.wo"] += ctx_2d.T @ d_attn_2d
-        grads[pre + "attn.bo"] += d_attn_2d.sum(axis=0)
-        d_ctx = (d_attn_out @ p[pre + "attn.wo"].T).reshape(bsz, n, nh, dh).transpose(0, 2, 1, 3)
+        grads[pre + "attn.wo"] += lc["ctx"].T @ d_attn_out
+        grads[pre + "attn.bo"] += d_attn_out.sum(axis=0)
+        d_ctx = _to_heads(d_attn_out @ p[pre + "attn.wo"].T, real, bsz, n, nh)
 
         probs, q, k, v = lc["probs"], lc["q"], lc["k"], lc["v"]
         d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
@@ -501,13 +592,13 @@ def backward_batch(state: ModelState, cache: dict, dlogits: np.ndarray) -> dict[
         d_q = d_scores @ k * scale
         d_k = d_scores.transpose(0, 1, 3, 2) @ q * scale
 
-        a_in_2d = lc["a_in"].reshape(-1, d)
-        d_a_in = np.zeros_like(lc["a_in"])
+        a_in = lc["a_in"]
+        d_a_in = np.zeros_like(a_in)
         for name, dx in (("q", d_q), ("k", d_k), ("v", d_v)):
-            dx_2d = dx.transpose(0, 2, 1, 3).reshape(-1, d)
-            grads[pre + f"attn.w{name}"] += a_in_2d.T @ dx_2d
-            grads[pre + f"attn.b{name}"] += dx_2d.sum(axis=0)
-            d_a_in += (dx_2d @ p[pre + f"attn.w{name}"].T).reshape(bsz, n, d)
+            dx = _from_heads(dx, real)
+            grads[pre + f"attn.w{name}"] += a_in.T @ dx
+            grads[pre + f"attn.b{name}"] += dx.sum(axis=0)
+            d_a_in += dx @ p[pre + f"attn.w{name}"].T
         d_h_in, dg, db = layernorm_bwd(d_a_in, lc["ln1"], p[pre + "ln1.g"])
         grads[pre + "ln1.g"] += dg
         grads[pre + "ln1.b"] += db
@@ -519,15 +610,15 @@ def backward_batch(state: ModelState, cache: dict, dlogits: np.ndarray) -> dict[
     grads["ln_e.g"] += dg
     grads["ln_e.b"] += db
 
-    dx_2d = dx.reshape(-1, d)
-    np.add.at(grads["tok_emb"], batch.tok.ravel(), dx_2d)
-    np.add.at(grads["pos_emb"], batch.pos.ravel(), dx_2d)
+    tok, pos, ent, tri, typ = cache["ids"]
+    scatter_add_rows(grads["tok_emb"], tok, dx)
+    scatter_add_rows(grads["pos_emb"], pos, dx)
     if cfg.use_entity_emb:
-        np.add.at(grads["ent_emb"], batch.ent.ravel(), dx_2d)
+        scatter_add_rows(grads["ent_emb"], ent, dx)
     if cfg.use_triple_emb:
-        np.add.at(grads["tri_emb"], batch.tri.ravel(), dx_2d)
+        scatter_add_rows(grads["tri_emb"], tri, dx)
     if cfg.use_type_emb:
-        np.add.at(grads["typ_emb"], batch.typ.ravel(), dx_2d)
+        scatter_add_rows(grads["typ_emb"], typ, dx)
     return grads
 
 

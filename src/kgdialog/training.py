@@ -217,7 +217,7 @@ def train(
         accum: dict[str, np.ndarray] | None = None
         accum_count = 0
         epoch_loss, epoch_n = 0.0, 0
-        rows_assembled, rows_kept, rows_computed = 0, 0, 0
+        rows_assembled, rows_computed = 0, 0
 
         for start in range(0, len(order), cfg.batch_size):
             idxs = order[start : start + cfg.batch_size]
@@ -233,8 +233,7 @@ def train(
                 )
             batch = _make_batch(pairs)
             rows_assembled += sum(seq.n for seq, _ in pairs)
-            rows_kept += sum(seq.n - int(np.count_nonzero(cols == NEG_INF)) for seq, cols in pairs)
-            rows_computed += batch.tok.size
+            rows_computed += int(batch.lengths.sum())
             drop_rng = np.random.default_rng([cfg.seed, 104729, micro])
             try:
                 logits, cache = forward_batch(state, batch, train=True, rng=drop_rng)
@@ -270,7 +269,7 @@ def train(
             print(
                 f"epoch {epoch}: train_loss={train_loss:.4f} valid_loss={valid_loss:.4f} "
                 f"{seconds:.2f}s {epoch_n / seconds:.1f} samples/s "
-                f"rows {rows_kept} kept of {rows_assembled} assembled, {rows_computed} computed with padding",
+                f"rows {rows_computed} computed of {rows_assembled} assembled",
                 file=sys.stderr,
             )
         if valid_split and valid_loss < best_loss:

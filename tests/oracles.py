@@ -246,6 +246,11 @@ def naive_attention(q, k, v, m):
     return out
 
 
+def add_at_scatter(out: np.ndarray, ids, rows) -> None:
+    """``out[ids[j]] += rows[j]`` for every ``j`` through ``np.add.at``, which sums repeated ids."""
+    np.add.at(out, np.asarray(ids), rows)
+
+
 def naive_response_nll(logits, token_ids, response_start) -> float:
     """Mean -log p(token[t] | ...) for t in [response_start, n)."""
     total = 0.0

@@ -20,9 +20,12 @@ from kgdialog.model import (
     _embedding_sum,
     attention,
     backward,
+    backward_batch,
     forward,
     forward_batch,
     gather_batch,
+    gelu,
+    gelu_grad,
     init_model,
     layernorm_bwd,
     layernorm_fwd,
@@ -31,12 +34,13 @@ from kgdialog.model import (
     pack_batch,
     sample_next,
     sample_response,
+    scatter_add_rows,
     softmax_rows,
 )
 from kgdialog.sequence import TYPE_SYSTEM, AssemblyLimits, assemble_input, linearize_graph
 from test_sequence import vocab_over
 
-from oracles import finite_diff_grads, naive_attention, naive_response_nll
+from oracles import add_at_scatter, finite_diff_grads, naive_attention, naive_response_nll
 
 GRAPH = build_graph([["s1", "r1", "o1"], ["s1", "r2", "o2"], ["s2", "r1", "o3"]])
 VOCAB = vocab_over("s1 s2 r1 r2 o1 o2 o3 what is the of ? answer it")
@@ -200,7 +204,8 @@ class TestForward:
         packed = pack_batch(seqs, [compose_mask(s, unmasked_columns(s), n - s.n) for s in seqs], True)
         gathered = gather_batch(seqs, [np.arange(s.n) for s in seqs], n, True)
         assert gathered.mask is None
-        for name in ("tok", "pos", "ent", "tri", "typ", "targets"):
+        assert gathered.lengths.tolist() == [s.n for s in seqs]
+        for name in ("tok", "pos", "ent", "tri", "typ", "targets", "lengths"):
             np.testing.assert_array_equal(getattr(gathered, name), getattr(packed, name))
 
     def test_maskless_padded_batch_is_causal(self):
@@ -279,6 +284,56 @@ class TestForward:
         after = forward(perturbed, mask, state)
         rs = seq.response_start
         assert np.array_equal(base[rs - 1 :], after[rs - 1 :])
+
+
+class TestPaddingFree:
+    """Forward and backward compute only the rows ``Batch.lengths`` counts."""
+
+    @staticmethod
+    def _run(state, batch):
+        logits, cache = forward_batch(state, batch)
+        value, dlogits = loss_batch(logits, batch.targets)
+        return logits, value, backward_batch(state, cache, dlogits)
+
+    def test_widening_changes_no_real_row(self):
+        seqs = [make_seq(), make_seq(gold="it is o1 of s1 and o2")]
+        rows = [np.arange(s.n) for s in seqs]
+        n = max(s.n for s in seqs)
+        state = init_model(make_model().cfg, seed=3, dtype=np.float64)
+        logits, value, grads = self._run(state, gather_batch(seqs, rows, n, True))
+        wide_logits, wide_value, wide_grads = self._run(state, gather_batch(seqs, rows, n + 9, True))
+        assert wide_value == pytest.approx(value, rel=1e-12)
+        for i, seq in enumerate(seqs):
+            np.testing.assert_allclose(wide_logits[i, : seq.n], logits[i, : seq.n], rtol=1e-12, atol=0)
+            assert (wide_logits[i, seq.n :] == 0).all()
+        for name, ref in grads.items():
+            if name.endswith("attn.bk"):  # zero in exact arithmetic
+                np.testing.assert_allclose(wide_grads[name], ref, rtol=0, atol=1e-15)
+            else:
+                assert np.linalg.norm(wide_grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+    def test_decode_batch_rows_past_lengths_are_computed(self):
+        seq = make_seq()
+        state = make_model()
+        batch = gather_batch([seq], [np.arange(seq.n)], seq.n + 4, False)
+        assert batch.lengths.tolist() == [seq.n]
+        kv = KVCache.empty(state.cfg, seq.n + 4, state.dtype)
+        forward_batch(state, batch.span(0, seq.n), kv=kv)
+        logits, _ = forward_batch(state, batch.span(0, seq.n + 4), kv=kv)
+        assert logits.shape[:2] == (1, 4) and (logits != 0).all()
+
+
+class TestScatterAddRows:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_add_at_oracle(self, rng, dtype):
+        ids = np.array([3, 0, 3, 5, 5, 5, 1, 3, 0, 7])  # repeats; ids 2, 4, 6 unused
+        rows = rng.normal(size=(ids.size, 6)).astype(dtype)
+        out = rng.normal(size=(10, 6)).astype(dtype)
+        ref = out.copy()
+        scatter_add_rows(out, ids, rows)
+        add_at_scatter(ref, ids, rows)
+        np.testing.assert_allclose(out, ref, rtol=1e-6 if dtype == np.float32 else 1e-12)
+        np.testing.assert_array_equal(out[[2, 4, 6, 8, 9]], ref[[2, 4, 6, 8, 9]])
 
 
 class TestLoss:
@@ -581,6 +636,20 @@ class TestLayerNorm:
         got_dx, _, _ = layernorm_bwd(dy, cache, g)
         assert got_dx.dtype == dtype
         np.testing.assert_array_equal(got_dx, dx)
+
+
+class TestGelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(512,), (7, 130)])
+    def test_equals_expression_bit_for_bit(self, rng, dtype, shape):
+        x = (rng.normal(size=shape) * 3).astype(dtype)
+        c, a = math.sqrt(2.0 / math.pi), 0.044715
+        t = np.tanh(c * (x + a * (x * x * x)))
+        y, got_t = gelu(x)
+        for got, want in ((y, 0.5 * x * (1.0 + t)), (got_t, t),
+                          (gelu_grad(x, t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (c * (1.0 + 3.0 * a * (x * x))))):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSoftmaxRows:
