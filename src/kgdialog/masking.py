@@ -71,14 +71,10 @@ def unmasked_columns(seq: InputSequence) -> np.ndarray:
     return np.zeros(seq.knowledge_end + 1, dtype=np.float32)
 
 
-def causal_key_columns(key_cols: np.ndarray, first: int = 0) -> np.ndarray:
-    """(m - first, m) additive mask: row i holds ``key_cols[: first + i + 1]`` and masks every later key.
-
-    Row i is the query at key slot ``first + i``, so ``first`` counts the
-    keys that precede the first query row (the rows a KV cache already holds).
-    """
+def causal_key_columns(key_cols: np.ndarray) -> np.ndarray:
+    """(m, m) additive mask: row i holds ``key_cols[: i + 1]`` and masks every later key."""
     m = key_cols.shape[0]
-    return np.where(np.tri(m - first, m, first, dtype=bool), key_cols, NEG_INF)
+    return np.where(np.tri(m, dtype=bool), key_cols, NEG_INF)
 
 
 def compose_mask(seq: InputSequence, knowledge_cols: np.ndarray, pad_len: int = 0) -> AttentionMask:

@@ -10,11 +10,10 @@ batch with true position ids; a batch without a mask attends causally.
 ``Batch.lengths`` counts each sample's real rows: uncached forward and
 backward run every row-wise op on those rows alone, flattened to (R, d),
 and only attention sees the padded (B, heads, n, d_head) layout.
-Decoding prefills a per-call ``KVCache`` with
+Decoding prefills an empty per-call ``KVCache`` once with
 the keys and values of the context positions the knowledge mask leaves
-visible, then computes one new row per step; the cache holds only rows every
-later row may read, so cached calls take no mask. A cached call that adds one
-row runs on that row's (d,) vectors.
+visible, then adds one row per call, on that row's (d,) vectors; the cache
+holds only rows every later row may read, so cached calls take no mask.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .masking import NEG_INF, AttentionMask, causal_key_columns
-from .sequence import InputSequence, SequenceTooLongError
+from .sequence import TYPE_SYSTEM, InputSequence, SequenceTooLongError
 
 
 @dataclass(frozen=True)
@@ -315,11 +314,13 @@ def _check_bounds(batch: Batch, cfg: ModelConfig) -> None:
 class KVCache:
     """Per-layer attention keys and values of the rows one decode computed.
 
-    ``k`` and ``v`` are (n_layers, 1, n_heads, capacity, d_head); slot ``j``
+    ``k`` and ``v`` are (n_layers, n_heads, capacity, d_head); slot ``j``
     holds batch row ``skip + j``. The first ``skip`` batch rows are never
     computed or stored: ``sample_response`` packs there the context rows whose
     keys the knowledge mask hides. Every stored row is visible to every later
-    one. A cache belongs to one ``sample_response`` call; nothing is shared.
+    one. ``forward_batch`` fills an empty cache once with a prefill, then adds
+    one row per call. A cache belongs to one ``sample_response`` call; nothing
+    is shared.
     """
 
     k: np.ndarray
@@ -329,7 +330,7 @@ class KVCache:
 
     @classmethod
     def empty(cls, cfg: ModelConfig, capacity: int, dtype, skip: int = 0) -> "KVCache":
-        shape = (cfg.n_layers, 1, cfg.n_heads, capacity, cfg.d_head)
+        shape = (cfg.n_layers, cfg.n_heads, capacity, cfg.d_head)
         return cls(np.empty(shape, dtype=dtype), np.empty(shape, dtype=dtype), skip)
 
 
@@ -412,27 +413,28 @@ def forward_batch(
     zero queries, keys and values in the padding rows, which no real row
     reads. The (B, n, vocab) logits are zero in the padding rows. Dropout
     masks are drawn at the padded shape, so they do not depend on padding.
-    With a ``kv`` cache, only rows ``[kv.skip + kv.rows:n]`` of ``batch`` are
-    computed, whatever its lengths, and they always run causally: every row
-    the cache stores is visible to them, so the call reads no mask. The new
-    rows attend to the stored rows and to each other, and their keys and
-    values are appended to the cache. The logits returned are the new rows'
-    alone. Cached calls are eval-mode only and return no backward cache
-    (None). A cached call that adds one row, each decode step's, runs in
-    ``_forward_row``.
+    A call with a ``kv`` cache takes one sample and is one of two kinds. On
+    an empty cache it prefills: rows ``[kv.skip:n]`` of ``batch`` are
+    computed causally, whatever its lengths or mask, and their keys and
+    values stored. On a filled cache it adds the one row ``kv.skip +
+    kv.rows``, which attends to every stored row (``_forward_row``). Any
+    other cached call raises ValueError. The logits returned are the new
+    rows' alone. Cached calls are eval-mode only and return no backward
+    cache (None).
     """
     cfg, p = state.cfg, state.params
     bsz, n = batch.shape
-    start = past = 0
     if kv is not None:
         if train:
             raise ValueError("a KV cache serves eval-mode forward passes only")
-        start, past = kv.skip + kv.rows, kv.rows
-        if kv.k.shape[1] != bsz or not start < n <= kv.skip + kv.k.shape[3]:
-            raise ValueError(f"batch of {bsz} x {n} does not extend a KV cache of {kv.k.shape[1]} x {start}")
-        if bsz == 1 and n - start == 1:
+        start = kv.skip + kv.rows
+        if bsz != 1 or not start < n <= kv.skip + kv.k.shape[2] or (kv.rows and n != start + 1):
+            raise ValueError(f"a batch of {bsz} x {n} is neither a prefill nor one new row "
+                             f"for a KV cache holding rows up to {start}")
+        if kv.rows:
             return _forward_row(state, batch, kv), None
-        batch = batch.span(start, n)  # the new rows only
+        batch = batch.span(start, n)  # the rows to prefill
+        n -= start
     _check_bounds(batch, cfg)
     dt = state.dtype
     d, nh = cfg.d_model, cfg.n_heads
@@ -440,11 +442,10 @@ def forward_batch(
     if drop > 0.0 and rng is None:
         raise ValueError("training-mode forward needs an RNG for dropout")
 
-    rows = n - start
     real = batch.real_rows()
 
     def dropout_mask() -> np.ndarray:
-        return _take_rows(_dropout_mask(rng, (bsz, rows, d), drop, np.dtype(dt)), real)
+        return _take_rows(_dropout_mask(rng, (bsz, n, d), drop, np.dtype(dt)), real)
 
     ids = tuple(_take_rows(a, real) for a in (batch.tok, batch.pos, batch.ent, batch.tri, batch.typ))
     h, ln_e_cache = layernorm_fwd(_embedding_sum(p, cfg, *ids), p["ln_e.g"], p["ln_e.b"])
@@ -453,22 +454,19 @@ def forward_batch(
         emb_drop = dropout_mask()
         h = h * emb_drop
 
-    filled = past + rows  # key slots after this call; new row r sits in slot past + r
     if batch.mask is not None:
         add_mask = batch.mask.astype(dt)[:, None, :, :]  # broadcast over heads
     else:
-        add_mask = causal_key_columns(np.zeros(filled, dtype=dt), past)
+        add_mask = causal_key_columns(np.zeros(n, dtype=dt))
     layers = []
     for i in range(cfg.n_layers):
         pre = f"h{i}."
         a_in, ln1_cache = layernorm_fwd(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        q = _to_heads(a_in @ p[pre + "attn.wq"] + p[pre + "attn.bq"], real, bsz, rows, nh)
-        k = _to_heads(a_in @ p[pre + "attn.wk"] + p[pre + "attn.bk"], real, bsz, rows, nh)
-        v = _to_heads(a_in @ p[pre + "attn.wv"] + p[pre + "attn.bv"], real, bsz, rows, nh)
+        q = _to_heads(a_in @ p[pre + "attn.wq"] + p[pre + "attn.bq"], real, bsz, n, nh)
+        k = _to_heads(a_in @ p[pre + "attn.wk"] + p[pre + "attn.bk"], real, bsz, n, nh)
+        v = _to_heads(a_in @ p[pre + "attn.wv"] + p[pre + "attn.bv"], real, bsz, n, nh)
         if kv is not None:
-            kv.k[i, :, :, kv.rows : filled] = k
-            kv.v[i, :, :, kv.rows : filled] = v
-            k, v = kv.k[i, :, :, :filled], kv.v[i, :, :, :filled]
+            kv.k[i, :, :n], kv.v[i, :, :n] = k[0], v[0]
         ctx, probs = attention(q, k, v, add_mask)
         ctx = _from_heads(ctx, real)
         attn_out = ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
@@ -502,9 +500,9 @@ def forward_batch(
     logits = hf @ p["tok_emb"].T
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
-    logits = _pad_rows(logits, real, bsz, rows)
+    logits = _pad_rows(logits, real, bsz, n)
     if kv is not None:
-        kv.rows = filled
+        kv.rows = n
         return logits, None
 
     cache = dict(ids=ids, real=real, emb_drop=emb_drop, ln_e=ln_e_cache, layers=layers, hf=hf, ln_f=ln_f_cache)
@@ -532,9 +530,9 @@ def _forward_row(state: ModelState, batch: Batch, kv: KVCache) -> np.ndarray:
         pre = f"h{i}."
         a_in, _ = layernorm_fwd(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
         q = a_in @ p[pre + "attn.wq"] + p[pre + "attn.bq"]
-        kv.k[i, 0, :, slot] = (a_in @ p[pre + "attn.wk"] + p[pre + "attn.bk"]).reshape(nh, dh)
-        kv.v[i, 0, :, slot] = (a_in @ p[pre + "attn.wv"] + p[pre + "attn.bv"]).reshape(nh, dh)
-        ctx, _ = attention(q.reshape(nh, 1, dh), kv.k[i, 0, :, :filled], kv.v[i, 0, :, :filled], 0.0)
+        kv.k[i, :, slot] = (a_in @ p[pre + "attn.wk"] + p[pre + "attn.bk"]).reshape(nh, dh)
+        kv.v[i, :, slot] = (a_in @ p[pre + "attn.wv"] + p[pre + "attn.bv"]).reshape(nh, dh)
+        ctx, _ = attention(q.reshape(nh, 1, dh), kv.k[i, :, :filled], kv.v[i, :, :filled], 0.0)
         h = h + (ctx.reshape(cfg.d_model) @ p[pre + "attn.wo"] + p[pre + "attn.bo"])
         f_in, _ = layernorm_fwd(h, p[pre + "ln2.g"], p[pre + "ln2.b"])
         a1, _ = gelu(f_in @ p[pre + "ff.w1"] + p[pre + "ff.b1"])
@@ -664,10 +662,7 @@ def forward(seq: InputSequence, mask: AttentionMask, state: ModelState) -> np.nd
 
 def loss(logits: np.ndarray, seq: InputSequence):
     """Mean next-token NLL over the response span, plus d(loss)/d(logits)."""
-    if seq.response_start >= seq.n:
-        raise ValueError("sequence has an empty response span")
-    targets = np.full((1, seq.n), -1, dtype=np.int64)
-    targets[0, seq.response_start - 1 : seq.n - 1] = seq.token_ids[seq.response_start :]
+    targets = gather_batch([seq], [np.arange(seq.n)], seq.n, True).targets  # refuses an empty response span
     value, dlogits = loss_batch(logits[None, :, :], targets)
     return value, dlogits[0]
 
@@ -698,6 +693,8 @@ class DecodingParams:
             raise ValueError("top_k must be >= 1")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must be in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"decoding seed must be >= 0, not {self.seed}")
 
 
 def sample_next(logits: np.ndarray, params: DecodingParams, rng: np.random.Generator) -> int:
@@ -717,7 +714,6 @@ def sample_response(
     mask: AttentionMask,
     params: DecodingParams,
     eos_id: int,
-    type_system: int = 2,
 ) -> list[int]:
     """Autoregressive sampling from a context sequence with a per-call KV cache.
 
@@ -732,8 +728,8 @@ def sample_response(
     stored row is visible to every later one, the calls run causally. The hidden
     rows stay in the batch, unread, only so that each call keeps the shape
     the perfbench tracer counts (the context plus the tokens decoded so far).
-    The first call prefills the cache with the visible rows; every later call
-    computes only the one new row. A mask that hides the last context key is
+    The first call prefills the empty cache with the visible rows; every
+    later call adds the one new row. A mask that hides the last context key is
     refused (ValueError): that row's logits pick the first token. Appended
     positions carry entity/triple id 0 and SYSTEM type. Returns the
     generated ids without the terminating [EOS].
@@ -751,7 +747,7 @@ def sample_response(
     rng = np.random.default_rng(params.seed)
     order = np.argsort(visible, kind="stable")  # hidden rows first, then visible ones in order
     batch = gather_batch([seq], [order], total, False)
-    batch.typ[0, n0:] = type_system
+    batch.typ[0, n0:] = TYPE_SYSTEM
     hidden = n0 - int(np.count_nonzero(visible))
     kv = KVCache.empty(state.cfg, total - hidden, state.dtype, skip=hidden)
     out: list[int] = []

@@ -65,6 +65,8 @@ class TrainConfig:
             raise ValueError("batch_size and grad_accum_steps must be >= 1")
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, not {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
 
 
 def adamw_step(state: ModelState, grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:

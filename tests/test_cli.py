@@ -277,6 +277,7 @@ class TestBadInput:
     @pytest.mark.parametrize("flags, message", [
         (["--k-entity", "-3"], "k_entity"),
         (["--temperature", "0"], "temperature"),
+        (["--decode-seed", "-1"], "seed"),
     ])
     def test_bad_eval_config_value(self, data_dir, run_dir, tmp_path, capsys, flags, message):
         rc = main(["eval", "--ckpt", str(run_dir / "model.ckpt"), "--data", str(data_dir),
@@ -300,6 +301,7 @@ class TestBadInput:
         (["--grad-accum-steps", "0"], "grad_accum_steps"),
         (["--lr", "-1"], "lr"),
         (["--min-freq", "0"], "min_freq"),
+        (["--seed", "-1"], "seed"),
     ])
     def test_bad_train_config_value(self, data_dir, tmp_path, capsys, flags, message):
         rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet",
@@ -412,8 +414,11 @@ class TestChat:
         assert outs[0] == outs[1]
 
     def test_reset_and_seed_commands(self, run_dir, tmp_path, monkeypatch, capsys):
-        rc = self.run_chat(run_dir, tmp_path, monkeypatch, ["/seed 42", "hello ?", "/reset", "/quit"])
+        rc = self.run_chat(run_dir, tmp_path, monkeypatch, ["/seed 42", "hello ?", "/reset", "/seed -5", "hello ?",
+                                                             "/quit"])
         assert rc == 0
+        err = capsys.readouterr().err
+        assert "seed set to 42" in err and "usage: /seed N" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [
         ["--no-use-kg-mask"],

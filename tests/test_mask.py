@@ -6,7 +6,6 @@ from kgdialog.corpus import build_graph
 from kgdialog.graph_weights import Selection
 from kgdialog.masking import (
     NEG_INF,
-    causal_key_columns,
     compose_mask,
     knowledge_column_mask,
     mask_summary,
@@ -130,14 +129,6 @@ class TestCompose:
         assert cols[j] == NEG_INF
         for i in range(j, seq.n):
             assert mask.values[i, j] == NEG_INF
-
-    def test_causal_rows_from_an_offset(self, rng):
-        cols = np.where(rng.random(9) < 0.4, NEG_INF, 0.0).astype(np.float32)
-        full = causal_key_columns(cols)
-        for first in range(9):
-            got = causal_key_columns(cols, first)
-            assert got.shape == (9 - first, 9)
-            assert got.tobytes() == full[first:].tobytes()
 
     def test_padding_rows_and_columns(self):
         seq = seq_for()

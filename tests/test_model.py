@@ -315,12 +315,13 @@ class TestPaddingFree:
     def test_decode_batch_rows_past_lengths_are_computed(self):
         seq = make_seq()
         state = make_model()
-        batch = gather_batch([seq], [np.arange(seq.n)], seq.n + 4, False)
-        assert batch.lengths.tolist() == [seq.n]
-        kv = KVCache.empty(state.cfg, seq.n + 4, state.dtype)
-        forward_batch(state, batch.span(0, seq.n), kv=kv)
-        logits, _ = forward_batch(state, batch.span(0, seq.n + 4), kv=kv)
-        assert logits.shape[:2] == (1, 4) and (logits != 0).all()
+        kv = KVCache.empty(state.cfg, seq.n, state.dtype)
+        # a prefill, then single-row steps, each computing every row it adds past the gather's lengths
+        for n, added in ((seq.n - 2, seq.n - 2), (seq.n - 1, 1), (seq.n, 1)):
+            batch = gather_batch([seq], [np.arange(seq.n - 4)], n, False)
+            assert batch.lengths.tolist() == [seq.n - 4]
+            logits, _ = forward_batch(state, batch, kv=kv)
+            assert logits.shape[:2] == (1, added) and (logits != 0).all()
 
 
 class TestScatterAddRows:
@@ -549,8 +550,8 @@ class TestKVCache:
         streams = [a[:, order] for a in (full_batch.tok, full_batch.pos, full_batch.ent, full_batch.tri,
                                          full_batch.typ)]
         kv = KVCache.empty(state.cfg, seq.n - hidden, state.dtype, skip=hidden)
-        # prefill, three single-row steps, then one 3-row chunk
-        for n in (seq.n - 6, seq.n - 5, seq.n - 4, seq.n - 3, seq.n):
+        # a prefill, then single-row steps
+        for n in range(seq.n - 6, seq.n + 1):
             start = kv.skip + kv.rows
             logits, step_cache = forward_batch(state, Batch(*(a[:, :n] for a in streams)), kv=kv)
             assert step_cache is None and kv.skip + kv.rows == n
@@ -562,7 +563,7 @@ class TestKVCache:
         # slot j of the cache holds the keys and values of batch row hidden + j
         for i, layer in enumerate(cache["layers"]):
             for stored, ref in ((kv.k[i], layer["k"]), (kv.v[i], layer["v"])):
-                want = ref[:, :, order[hidden:]]
+                want = ref[0][:, order[hidden:]]
                 np.testing.assert_allclose(stored, want, rtol=1e-5, atol=1e-5 * float(np.abs(want).max()))
 
     def prefilled(self, state, seq):
@@ -598,9 +599,14 @@ class TestKVCache:
         with pytest.raises(ValueError):
             forward_batch(state, batch, train=True, rng=np.random.default_rng(0), kv=kv)
         assert kv.rows == 0
-        forward_batch(state, batch, kv=kv)
-        with pytest.raises(ValueError):  # holds no row past the cache
-            forward_batch(state, batch, kv=kv)
+        forward_batch(state, batch.span(0, seq.n - 3), kv=kv)
+        for stale in (batch.span(0, seq.n - 3),  # holds no row past the cache
+                      batch.span(0, seq.n - 1),  # several rows onto a filled cache
+                      Batch(*(np.repeat(a[:, : seq.n - 2], 2, axis=0)  # a two-sample batch
+                              for a in (batch.tok, batch.pos, batch.ent, batch.tri, batch.typ)))):
+            with pytest.raises(ValueError):
+                forward_batch(state, stale, kv=kv)
+        assert kv.rows == seq.n - 3
 
 
 class TestAblationEquivalence:
