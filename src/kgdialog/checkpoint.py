@@ -2,7 +2,10 @@
 
 Header fields: format version, model config, vocabulary hash, run config
 echo, and a named tensor manifest with shapes. Tensor bytes follow in
-manifest order, little-endian float32.
+manifest order, little-endian float32. Loading refuses, with
+``CheckpointError``, a header that is not a JSON object, lacks an entry,
+holds a model config ``ModelConfig`` refuses, or lists tensors other than
+``param_shapes`` of that config.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .model import ModelConfig, ModelState
+from .model import ModelConfig, ModelState, param_shapes
 
 FORMAT_VERSION = 1
 
@@ -58,7 +61,12 @@ def _read_header(f: BinaryIO, path: str | Path) -> dict:
     blob = f.read(hlen)
     if len(blob) != hlen:
         raise CheckpointError(f"{path}: truncated header")
-    header = json.loads(blob.decode("utf-8"))
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise CheckpointError(f"{path}: header is not JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
     return header
@@ -67,14 +75,24 @@ def _read_header(f: BinaryIO, path: str | Path) -> dict:
 def load_checkpoint(path: str | Path, expect_vocab_sha: str | None = None) -> tuple[ModelState, dict]:
     with Path(path).open("rb") as f:
         header = _read_header(f, path)
-        if expect_vocab_sha is not None and header["vocab_sha256"] != expect_vocab_sha:
+        try:
+            vocab_sha = str(header["vocab_sha256"])
+            cfg = ModelConfig.from_dict(header["model_config"])
+            manifest = [(name, tuple(shape)) for name, shape in header["tensors"]]
+        except KeyError as e:
+            raise CheckpointError(f"{path}: malformed header: no {e.args[0]!r} entry") from None
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: malformed header: {e}") from None
+        if expect_vocab_sha is not None and vocab_sha != expect_vocab_sha:
             raise VocabMismatchError(
                 f"{path}: checkpoint was trained with a different vocabulary "
-                f"({header['vocab_sha256'][:12]}... vs {expect_vocab_sha[:12]}...)"
+                f"({vocab_sha[:12]}... vs {expect_vocab_sha[:12]}...)"
             )
-        cfg = ModelConfig.from_dict(header["model_config"])
+        shapes = param_shapes(cfg)
+        if manifest != shapes:
+            raise CheckpointError(f"{path}: tensor manifest does not match the header's model_config")
         params: dict[str, np.ndarray] = {}
-        for name, shape in header["tensors"]:
+        for name, shape in shapes:
             count = int(np.prod(shape)) if shape else 1
             buf = f.read(4 * count)
             if len(buf) != 4 * count:

@@ -34,97 +34,73 @@ from .sequence import (
     save_vocab,
     vocab_sha256,
 )
+from .training import TrainConfig
 
 ENV_CONFIG = "KGDIALOG_CONFIG"
 
 
 @dataclass
 class RunConfig:
+    """Every settable key, in ``--help`` order; a key's default is its owner config's."""
+
     # model
-    d_model: int = 128
-    n_heads: int = 4
-    n_layers: int = 2
-    d_ff: int = 512
-    max_positions: int = 512
-    max_entity_ids: int = 64
-    max_triple_ids: int = 128
-    dropout: float = 0.1
+    d_model: int = ModelConfig.d_model
+    n_heads: int = ModelConfig.n_heads
+    n_layers: int = ModelConfig.n_layers
+    d_ff: int = ModelConfig.d_ff
+    max_positions: int = ModelConfig.max_positions
+    max_entity_ids: int = ModelConfig.max_entity_ids
+    max_triple_ids: int = ModelConfig.max_triple_ids
+    dropout: float = ModelConfig.dropout
     # input assembly budgets
-    max_knowledge_tokens: int = 384
-    max_history_tokens: int = 128
-    max_history_turns: int = 4
-    context_limit: int = 412
+    max_knowledge_tokens: int = AssemblyLimits.max_knowledge_tokens
+    max_history_tokens: int = AssemblyLimits.max_history_tokens
+    max_history_turns: int = AssemblyLimits.max_history_turns
+    context_limit: int = AssemblyLimits.context_limit
     # training
-    lr: float = 6.25e-5
-    adam_epsilon: float = 1e-8
-    weight_decay: float = 0.01
-    batch_size: int = 4
-    grad_accum_steps: int = 4
-    epochs: int = 40
-    seed: int = 13
-    warmup_steps: int = 0
+    lr: float = TrainConfig.lr
+    adam_epsilon: float = TrainConfig.adam_epsilon
+    weight_decay: float = TrainConfig.weight_decay
+    batch_size: int = TrainConfig.batch_size
+    grad_accum_steps: int = TrainConfig.grad_accum_steps
+    epochs: int = TrainConfig.epochs
+    seed: int = TrainConfig.seed
+    warmup_steps: int = TrainConfig.warmup_steps
     min_freq: int = 1
     # triple selection and ablations
-    k_entity: int = 7
-    k_relation: int = 7
-    use_kg_mask: bool = True
-    use_entity_emb: bool = True
-    use_triple_emb: bool = True
-    use_type_emb: bool = True
+    k_entity: int = TrainConfig.k_entity
+    k_relation: int = TrainConfig.k_relation
+    use_kg_mask: bool = TrainConfig.use_kg_mask
+    use_entity_emb: bool = ModelConfig.use_entity_emb
+    use_triple_emb: bool = ModelConfig.use_triple_emb
+    use_type_emb: bool = ModelConfig.use_type_emb
     # decoding
-    temperature: float = 0.68
-    top_k: int = 6
-    top_p: float = 0.9
-    max_response_length: int = 100
-    decode_seed: int = 7
+    temperature: float = DecodingParams.temperature
+    top_k: int = DecodingParams.top_k
+    top_p: float = DecodingParams.top_p
+    max_response_length: int = DecodingParams.max_response_length
+    decode_seed: int = DecodingParams.seed
     # runtime
     threads: int = 1
 
+    def _project(self, cls, **extra):
+        """``cls`` built from the keys of the same name, then ``extra``; other fields keep their defaults."""
+        own = {f.name for f in dataclasses.fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(cls) if f.name in own}
+        return cls(**{**shared, **extra})
+
     def limits(self) -> AssemblyLimits:
-        return AssemblyLimits(
-            self.max_knowledge_tokens, self.max_history_tokens, self.max_history_turns, self.context_limit
-        )
+        return self._project(AssemblyLimits)
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            d_model=self.d_model,
-            n_heads=self.n_heads,
-            n_layers=self.n_layers,
-            d_ff=self.d_ff,
-            max_positions=self.max_positions,
-            max_entity_ids=self.max_entity_ids,
-            max_triple_ids=self.max_triple_ids,
-            dropout=self.dropout,
-            use_entity_emb=self.use_entity_emb,
-            use_triple_emb=self.use_triple_emb,
-            use_type_emb=self.use_type_emb,
-        )
+        return self._project(ModelConfig, vocab_size=vocab_size)
 
-    def train_config(self) -> training.TrainConfig:
-        return training.TrainConfig(
-            lr=self.lr,
-            adam_epsilon=self.adam_epsilon,
-            weight_decay=self.weight_decay,
-            batch_size=self.batch_size,
-            grad_accum_steps=self.grad_accum_steps,
-            epochs=self.epochs,
-            seed=self.seed,
-            warmup_steps=self.warmup_steps,
-            k_entity=self.k_entity,
-            k_relation=self.k_relation,
-            use_kg_mask=self.use_kg_mask,
-            limits=self.limits(),
-        )
+    def train_config(self) -> TrainConfig:
+        return self._project(TrainConfig, limits=self.limits())
 
     def decoding(self) -> DecodingParams:
-        return DecodingParams(
-            temperature=self.temperature,
-            top_k=self.top_k,
-            top_p=self.top_p,
-            max_response_length=self.max_response_length,
-            seed=self.decode_seed,
-        )
+        # ``seed`` seeds training only; sampling takes ``decode_seed``
+        return self._project(DecodingParams, seed=self.decode_seed)
 
 
 _ABLATIONS = {
@@ -207,6 +183,8 @@ def resolve_config(args: argparse.Namespace, base: dict | None = None) -> RunCon
         raise SchemaError(f"invalid config: {e}") from None
     if cfg.min_freq < 1:
         raise SchemaError(f"invalid config: min_freq must be >= 1, not {cfg.min_freq}")
+    if cfg.threads < 1:
+        raise SchemaError(f"invalid config: threads must be >= 1, not {cfg.threads}")
     return cfg
 
 

@@ -13,7 +13,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -219,11 +219,7 @@ def evaluate(
         "k_entity": train_cfg.k_entity,
         "k_relation": train_cfg.k_relation,
         "use_kg_mask": train_cfg.use_kg_mask,
-        "temperature": decoding.temperature,
-        "top_k": decoding.top_k,
-        "top_p": decoding.top_p,
-        "max_response_length": decoding.max_response_length,
-        "seed": decoding.seed,
+        **asdict(decoding),
         "hyp_from_gold": hyp_from_gold,
         "split": split.name,
         "n_samples": len(samples),

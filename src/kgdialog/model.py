@@ -44,11 +44,11 @@ class ModelConfig:
     use_type_emb: bool = True
 
     def __post_init__(self) -> None:
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_positions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
@@ -693,6 +693,8 @@ class DecodingParams:
             raise ValueError("top_k must be >= 1")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must be in (0, 1]")
+        if self.max_response_length < 1:
+            raise ValueError(f"max_response_length must be >= 1, not {self.max_response_length}")
         if self.seed < 0:
             raise ValueError(f"decoding seed must be >= 0, not {self.seed}")
 

@@ -371,6 +371,11 @@ class AssemblyLimits:
     max_history_turns: int = 4
     context_limit: int = 412
 
+    def __post_init__(self) -> None:
+        for name in ("max_knowledge_tokens", "max_history_tokens", "max_history_turns", "context_limit"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, not {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class InputSequence:

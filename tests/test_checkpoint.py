@@ -80,3 +80,36 @@ def test_tensors_located_by_length_prefix(state, tmp_path):
     loaded, _ = load_checkpoint(path)
     for k in state.params:
         assert np.array_equal(loaded.params[k], state.params[k])
+
+
+def _replace_header(path, edit):
+    """Rewrite the header of the checkpoint at ``path`` to the bytes ``edit`` makes of it."""
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[:4])
+    blob = edit(json.loads(data[4 : 4 + hlen]))
+    path.write_bytes(struct.pack("<I", len(blob)) + blob + data[4 + hlen :])
+
+
+def _edited(change):
+    def edit(header):
+        change(header)
+        return json.dumps(header).encode("utf-8")
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edited(lambda h: h["model_config"].update(n_heads=0)), "n_heads must be >= 1"),
+    (_edited(lambda h: h["model_config"].update(colour="red")), "colour"),
+    (_edited(lambda h: h.pop("tensors")), "no 'tensors' entry"),
+    (_edited(lambda h: h["model_config"].update(d_model=32)), "manifest does not match"),
+    (_edited(lambda h: h["tensors"][0].__setitem__(1, [-1, 16])), "manifest does not match"),
+    (lambda h: b"[1]", "not a JSON object"),
+    (lambda h: b"\xff{}", "not JSON"),
+], ids=["zero_heads", "unknown_key", "no_tensors", "wrong_width", "negative_dim", "json_list", "not_utf8"])
+def test_malformed_header_rejected(state, tmp_path, edit, message):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, state, "ef" * 32)
+    _replace_header(path, edit)
+    with pytest.raises(CheckpointError, match=message) as e:
+        load_checkpoint(path, expect_vocab_sha="ef" * 32)
+    assert str(path) in str(e.value)

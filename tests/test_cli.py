@@ -3,7 +3,10 @@ import json
 
 import pytest
 
-from kgdialog.cli import main
+from kgdialog.cli import RunConfig, main
+from kgdialog.model import DecodingParams, ModelConfig
+from kgdialog.sequence import AssemblyLimits
+from kgdialog.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +281,10 @@ class TestBadInput:
         (["--k-entity", "-3"], "k_entity"),
         (["--temperature", "0"], "temperature"),
         (["--decode-seed", "-1"], "seed"),
+        (["--n-heads", "0"], "n_heads must be >= 1"),
+        (["--max-response-length", "-1"], "max_response_length"),
+        (["--max-history-turns", "-1"], "max_history_turns"),
+        (["--threads", "0"], "threads"),
     ])
     def test_bad_eval_config_value(self, data_dir, run_dir, tmp_path, capsys, flags, message):
         rc = main(["eval", "--ckpt", str(run_dir / "model.ckpt"), "--data", str(data_dir),
@@ -302,6 +309,10 @@ class TestBadInput:
         (["--lr", "-1"], "lr"),
         (["--min-freq", "0"], "min_freq"),
         (["--seed", "-1"], "seed"),
+        (["--n-heads", "0"], "n_heads must be >= 1"),
+        (["--max-response-length", "-1"], "max_response_length"),
+        (["--max-history-turns", "-1"], "max_history_turns"),
+        (["--threads", "0"], "threads"),
     ])
     def test_bad_train_config_value(self, data_dir, tmp_path, capsys, flags, message):
         rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet",
@@ -405,6 +416,13 @@ class TestChat:
     def test_quit_immediately(self, run_dir, tmp_path, monkeypatch):
         assert self.run_chat(run_dir, tmp_path, monkeypatch, ["/quit"]) == 0
 
+    def test_bad_max_response_length_refused_before_reading(self, run_dir, tmp_path, monkeypatch, capsys):
+        rc = self.run_chat(run_dir, tmp_path, monkeypatch, ["how far ?"], max_response_length=-1)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: invalid config: max_response_length must be >= 1" in err
+        assert "chat ready" not in err
+
     def test_transcript_deterministic(self, run_dir, tmp_path, monkeypatch, capsys):
         outs = []
         for _ in range(2):
@@ -458,3 +476,56 @@ class TestHelp:
         for key in ("--lr", "--k-entity", "--max-history-turns", "--temperature", "--use-kg-mask"):
             assert key in out
         assert "default" in out
+
+
+# The config each RunConfig key configures, written out here so that a key
+# projected into the wrong config (or into two) fails the test below.
+_OWNERS = {
+    "model_config": ("d_model", "n_heads", "n_layers", "d_ff", "max_positions", "max_entity_ids",
+                     "max_triple_ids", "dropout", "use_entity_emb", "use_triple_emb", "use_type_emb"),
+    "limits": ("max_knowledge_tokens", "max_history_tokens", "max_history_turns", "context_limit"),
+    "train_config": ("lr", "adam_epsilon", "weight_decay", "batch_size", "grad_accum_steps", "epochs",
+                     "seed", "warmup_steps", "k_entity", "k_relation", "use_kg_mask"),
+    "decoding": ("temperature", "top_k", "top_p", "max_response_length", "decode_seed"),
+}
+
+
+def _projected_fields(cfg) -> dict:
+    """Owner name -> field values of ``cfg``'s projection; ``TrainConfig.limits`` is read as ``limits``."""
+    train_cfg = cfg.train_config()
+    assert train_cfg.limits == cfg.limits()
+    return {
+        "model_config": dataclasses.asdict(cfg.model_config(50)),
+        "limits": dataclasses.asdict(cfg.limits()),
+        "train_config": {k: v for k, v in dataclasses.asdict(train_cfg).items() if k != "limits"},
+        "decoding": dataclasses.asdict(cfg.decoding()),
+    }
+
+
+class TestRunConfig:
+    def test_defaults_are_the_owners_defaults(self):
+        cfg = RunConfig()
+        assert cfg.model_config(50) == ModelConfig(50)
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.limits() == AssemblyLimits()
+        assert cfg.decoding() == DecodingParams()
+
+    def test_each_key_reaches_exactly_its_owner_field(self):
+        fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+        owned = {key: owner for owner, keys in _OWNERS.items() for key in keys}
+        assert sorted(owned) == sorted(fields.keys() - {"min_freq", "threads"})
+        defaults = _projected_fields(RunConfig())
+        for key, owner in owned.items():
+            default = fields[key].default
+            if fields[key].type == "bool":
+                value = not default
+            elif fields[key].type == "float":
+                value = default / 2
+            else:
+                value = 2 * default or 1
+            projected = _projected_fields(RunConfig(**{key: value}))
+            changed = {(name, k) for name, values in projected.items()
+                       for k, v in values.items() if v != defaults[name][k]}
+            field = "seed" if key == "decode_seed" else key
+            assert changed == {(owner, field)}, key
+            assert projected[owner][field] == value, key
