@@ -28,7 +28,6 @@ from .graph_weights import (
     WeightedGraph,
     compute_weighted_graph,
     feature_vector,
-    relation_weights,
     select_topk,
 )
 from .masking import AttentionMask, NEG_INF, compose_mask, knowledge_column_mask

@@ -4,8 +4,8 @@ Every configuration key has a default, can be set from a JSON config file
 (``--config`` or the KGDIALOG_CONFIG environment variable), and can be
 overridden by a flag of the same name. Exit codes: 0 success, 2 bad input
 (a missing or malformed file, a bad flag, config value or synth setting, an
-inspect question too long for the context, a corpus with no tokens), 3
-vocabulary mismatch.
+inspect question too long for the context, a corpus with no tokens, a
+training run whose loss diverged), 3 vocabulary mismatch.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .sequence import (
     save_vocab,
     vocab_sha256,
 )
-from .training import TrainConfig
+from .training import TrainConfig, TrainingDiverged
 
 ENV_CONFIG = "KGDIALOG_CONFIG"
 
@@ -331,9 +331,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                 f"question too long for context_limit {cfg.context_limit}: its {len(question.split())} words "
                 f"do not fit after the knowledge segment"
             ) from None
-        sel = graph_weights.Selection(
-            frozenset(dump["top_entities"]), frozenset(dump["top_relations"]), cfg.k_entity, cfg.k_relation
-        )
+        sel = graph_weights.Selection(frozenset(dump["top_entities"]), frozenset(dump["top_relations"]))
         dump["mask"] = masking.mask_summary(seq, sel, graph)
 
     print(json.dumps(dump, indent=1))
@@ -459,6 +457,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, SchemaError, ValidationError, CheckpointError, json.JSONDecodeError,
             SequenceTooLongError, EmptyCorpusError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except TrainingDiverged as e:
+        print(f"error: training diverged: {e}", file=sys.stderr)
         return 2
 
 

@@ -345,6 +345,9 @@ def synthetic_dialogues(config: SynthConfig) -> list[dict]:
     """Deterministic template QA dialogues grounded in per-dialogue graphs."""
     if config.n_subjects_per_graph < 1 or config.n_relations < 1:
         raise ValueError("n_subjects_per_graph and n_relations must be >= 1")
+    for name in ("n_dialogues", "seed", "vocab_pool_seed"):
+        if getattr(config, name) < 0:
+            raise ValueError(f"{name} must be >= 0, not {getattr(config, name)}")
     pools = _build_pools(config.vocab_pool_seed)
     n_families = len(pools.subject_families)
     if config.n_subjects_per_graph > n_families + 1:

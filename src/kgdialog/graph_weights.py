@@ -4,7 +4,9 @@ One vector X holds the cosine similarity between the question and every
 node surface (mean token embeddings) of an undirected graph whose nodes are
 entities *and* relation labels. It feeds both weight families: entity
 weights are X at the entity nodes, relation weights are one propagation step
-D^-1 (A+I) X read off at the relation nodes.
+D^-1 (A+I) X read off at the relation nodes. Each family is softmaxed into
+a float64 vector indexed by entity or relation id, and the top-k ids are read
+straight off those vectors.
 
 Each question is weighted with a fixed handful of array calls on the graph's
 index (``sequence.graph_index``), which is built once per graph and holds the
@@ -76,23 +78,18 @@ def propagate(index: GraphIndex, x: np.ndarray) -> np.ndarray:
     return h / index.degrees
 
 
-def relation_weights(index: GraphIndex, x: np.ndarray) -> dict[int, float]:
-    """Raw per-relation scores: propagated features at relation nodes only."""
-    return dict(enumerate(propagate(index, x)[index.n_entities :].tolist()))
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax of a float64 vector; an empty vector stays empty."""
+    if not x.size:
+        return x
+    e = np.exp(x - x.max())
+    return e / e.sum()
 
 
-def softmax_map(raw: dict[int, float]) -> dict[int, float]:
-    if not raw:
-        return {}
-    vals = np.fromiter(raw.values(), dtype=np.float64, count=len(raw))
-    e = np.exp(vals - vals.max())
-    return dict(zip(raw, (e / e.sum()).tolist()))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    entity_weights: dict[int, float]
-    relation_weights: dict[int, float]
+    entity_weights: np.ndarray  # (n_entities,) float64, indexed by entity id
+    relation_weights: np.ndarray  # (n_relations,) float64, indexed by relation id
 
 
 def _weigh(graph: KnowledgeGraph, question: str, embedder: TokenEmbedder):
@@ -102,8 +99,7 @@ def _weigh(graph: KnowledgeGraph, question: str, embedder: TokenEmbedder):
     h = propagate(index, x)
     # entity ids are the first n_entities node indices, relation ids the rest
     ne = index.n_entities
-    wg = WeightedGraph(softmax_map(dict(enumerate(x[:ne].tolist()))), softmax_map(dict(enumerate(h[ne:].tolist()))))
-    return index, x, h, wg
+    return index, x, h, WeightedGraph(softmax(x[:ne]), softmax(h[ne:]))
 
 
 def compute_weighted_graph(graph: KnowledgeGraph, question: str, embedder: TokenEmbedder) -> WeightedGraph:
@@ -115,26 +111,17 @@ def compute_weighted_graph(graph: KnowledgeGraph, question: str, embedder: Token
 class Selection:
     top_entities: frozenset[int]
     top_relations: frozenset[int]
-    k_entity: int
-    k_relation: int
 
 
-def _top_ids(weights: dict[int, float], k: int) -> frozenset[int]:
-    ids = np.fromiter(weights.keys(), dtype=np.int64, count=len(weights))
-    vals = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
-    return frozenset(ids[np.lexsort((ids, -vals))[: max(0, k)]].tolist())
+def _top_ids(weights: np.ndarray, k: int) -> frozenset[int]:
+    return frozenset(np.argsort(-weights, kind="stable")[:k].tolist())
 
 
 def select_topk(wg: WeightedGraph, k_entity: int, k_relation: int) -> Selection:
     """Highest-weighted ids; ties broken by first-appearance (lower id wins)."""
     if k_entity < 0 or k_relation < 0:
         raise ValueError("k values must be >= 0")
-    return Selection(
-        _top_ids(wg.entity_weights, k_entity),
-        _top_ids(wg.relation_weights, k_relation),
-        k_entity,
-        k_relation,
-    )
+    return Selection(_top_ids(wg.entity_weights, k_entity), _top_ids(wg.relation_weights, k_relation))
 
 
 def inspect_dump(
@@ -157,8 +144,8 @@ def inspect_dump(
         "adjacency": [list(p) for p in pairs],
         "feature_vector": x.tolist(),
         "propagated": h.tolist(),
-        "entity_weights": {str(k): v for k, v in sorted(wg.entity_weights.items())},
-        "relation_weights": {str(k): v for k, v in sorted(wg.relation_weights.items())},
+        "entity_weights": {str(i): v for i, v in enumerate(wg.entity_weights.tolist())},
+        "relation_weights": {str(i): v for i, v in enumerate(wg.relation_weights.tolist())},
         "top_entities": sorted(sel.top_entities),
         "top_relations": sorted(sel.top_relations),
     }

@@ -67,6 +67,14 @@ class TrainConfig:
             raise ValueError(f"lr must be > 0, not {self.lr}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
+        if not self.adam_epsilon > 0:
+            raise ValueError(f"adam_epsilon must be > 0, not {self.adam_epsilon}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, not {self.weight_decay}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, not {self.epochs}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be >= 0, not {self.warmup_steps}")
 
 
 def adamw_step(state: ModelState, grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:

@@ -30,9 +30,9 @@ from kgdialog.graph_weights import (
     TokenEmbedder,
     compute_weighted_graph,
     feature_vector,
-    relation_weights,
+    propagate,
     select_topk,
-    softmax_map,
+    softmax,
 )
 from kgdialog.masking import NEG_INF, compose_mask, knowledge_column_mask, unmasked_columns
 from kgdialog.model import (
@@ -164,7 +164,7 @@ def test_relation_weight_oracle_equivalence(rng):
 
         bg = graph_index(g)
         x = feature_vector(bg, question, emb)
-        got = softmax_map(relation_weights(bg, x))
+        got = softmax(propagate(bg, x)[bg.n_entities :])
 
         rows = {t: list(table[vocab.token_to_id[t]]) for t in tokens}
         _, rels, _, rw = naive_graph_pipeline(list(triples), question, rows, 12)
@@ -192,12 +192,8 @@ def test_mask_correctness_randomized(rng):
     for _ in range(500):
         ents = frozenset(rng.choice(8, size=int(rng.integers(0, 8)), replace=False).tolist())
         rels = frozenset(rng.choice(2, size=int(rng.integers(0, 3)) % 3, replace=False).tolist())
-        extra = Selection(
-            ents | {int(rng.integers(0, 8))},
-            rels | {int(rng.integers(0, 2))},
-            8, 2,
-        )
-        base_sel = Selection(ents, rels, 8, 2)
+        extra = Selection(ents | {int(rng.integers(0, 8))}, rels | {int(rng.integers(0, 2))})
+        base_sel = Selection(ents, rels)
         pad = int(rng.integers(0, 5))
         cols = knowledge_column_mask(seq, base_sel, graph)
         mask = compose_mask(seq, cols, pad_len=pad)
@@ -279,7 +275,7 @@ def test_causality_and_mask_isolation():
         after = forward(perturbed, full, state)
         assert np.array_equal(base[:j], after[:j]), f"causality broken at {j}"
 
-    sel = Selection(frozenset({0, 1}), frozenset({0}), 7, 7)
+    sel = Selection(frozenset({0, 1}), frozenset({0}))
     cols = knowledge_column_mask(seq, sel, graph)
     masked_ids = [t for t, (a, b) in seq.triple_spans.items() if (cols[a:b] == NEG_INF).all()]
     assert masked_ids

@@ -313,6 +313,11 @@ class TestBadInput:
         (["--max-response-length", "-1"], "max_response_length"),
         (["--max-history-turns", "-1"], "max_history_turns"),
         (["--threads", "0"], "threads"),
+        (["--adam-epsilon", "0"], "adam_epsilon must be > 0"),
+        (["--adam-epsilon", "-1"], "adam_epsilon must be > 0"),
+        (["--epochs", "-1"], "epochs must be >= 0"),
+        (["--warmup-steps", "-3"], "warmup_steps must be >= 0"),
+        (["--weight-decay", "-1"], "weight_decay must be >= 0"),
     ])
     def test_bad_train_config_value(self, data_dir, tmp_path, capsys, flags, message):
         rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet",
@@ -394,6 +399,31 @@ class TestBadInput:
         assert rc == 2
         assert "error: invalid synth settings" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "-3"], "n_dialogues must be >= 0, not -3"),
+        (["--seed", "-1"], "seed must be >= 0, not -1"),
+        (["--vocab-pool-seed", "-1"], "vocab_pool_seed must be >= 0, not -1"),
+    ])
+    def test_negative_synth_setting(self, tmp_path, capsys, flags, message):
+        rc = main(["synth", "--out", str(tmp_path / "o"), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: invalid synth settings: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_epochs_writes_untrained_checkpoint(self, data_dir, tmp_path):
+        assert main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet",
+                     "--epochs", "0"]) == 0
+        assert (tmp_path / "o" / "model.ckpt").exists()
+
+    def test_diverged_run(self, data_dir, tmp_path, capsys):
+        rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet",
+                   "--epochs", "1", "--lr", "1e9", "--grad-accum-steps", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: training diverged:" in err and "at epoch 0 micro-batch" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "model.ckpt").exists()
 
     def test_heads_not_dividing_width(self, data_dir, tmp_path, capsys):
         rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet",

@@ -11,9 +11,8 @@ from kgdialog.graph_weights import (
     feature_vector,
     inspect_dump,
     propagate,
-    relation_weights,
     select_topk,
-    softmax_map,
+    softmax,
 )
 from kgdialog.sequence import SPECIAL_TOKENS, Vocabulary, graph_index
 
@@ -34,6 +33,10 @@ def dense_adjacency(index) -> np.ndarray:
     a[index.edge_entities, index.edge_relations] = 1.0
     a[index.edge_relations, index.edge_entities] = 1.0
     return a
+
+
+def same_weights(a, b) -> bool:
+    return np.array_equal(a.entity_weights, b.entity_weights) and np.array_equal(a.relation_weights, b.relation_weights)
 
 
 def words_of(triples):
@@ -197,14 +200,14 @@ class TestRelationWeights:
         # neighbours -> (1 + 0 + 0) / 3
         bg = graph_index(build_graph([["s", "r", "o"]]))
         x = np.array([1.0, 0.0, 0.0])
-        raw = relation_weights(bg, x)
-        assert raw == {0: pytest.approx(1.0 / 3.0, abs=1e-15)}
+        raw = propagate(bg, x)[bg.n_entities :]
+        assert raw.tolist() == [pytest.approx(1.0 / 3.0, abs=1e-15)]
 
     def test_zero_features_zero_weights(self):
         g = build_graph([["s", "r", "o"], ["s", "q", "o2"]])
         bg = graph_index(g)
-        raw = relation_weights(bg, np.zeros(bg.d_g))
-        assert all(v == 0.0 for v in raw.values())
+        raw = propagate(bg, np.zeros(bg.d_g))[bg.n_entities :]
+        assert raw.shape == (2,) and all(v == 0.0 for v in raw)
 
     def test_isolated_entity_survives(self):
         # entity mentioned by no triple cannot occur via build_graph, but a
@@ -235,18 +238,28 @@ class TestWeightedGraph:
         g = build_graph([["s", "r", "o"]])
         vocab, emb = make_embedder(["s", "r", "o", "hi"])
         wg = compute_weighted_graph(g, "hi", emb)
-        assert wg.relation_weights == {0: pytest.approx(1.0)}
-        assert sum(wg.entity_weights.values()) == pytest.approx(1.0)
+        assert wg.relation_weights.tolist() == [pytest.approx(1.0)]
+        assert sum(wg.entity_weights.tolist()) == pytest.approx(1.0)
 
     def test_uniform_scores_uniform_weights(self):
-        w = softmax_map({0: 0.3, 1: 0.3, 2: 0.3, 3: 0.3})
-        assert all(v == pytest.approx(0.25) for v in w.values())
+        w = softmax(np.array([0.3, 0.3, 0.3, 0.3]))
+        assert all(v == pytest.approx(0.25) for v in w.tolist())
 
     def test_empty_graph_empty_maps(self):
         g = build_graph([])
         vocab, emb = make_embedder(["hi"])
         wg = compute_weighted_graph(g, "hi", emb)
-        assert wg.entity_weights == {} and wg.relation_weights == {}
+        assert wg.entity_weights.size == 0 and wg.relation_weights.size == 0
+
+    @pytest.mark.parametrize("triples", [[], [["s", "r", "o"]], [["s", "r", "o"], ["s", "q", "o2"], ["t", "r", "o"]]])
+    def test_weights_are_float64_vectors_indexed_by_id(self, triples):
+        g = build_graph(triples)
+        vocab, emb = make_embedder(words_of(triples) + ["hi"])
+        wg = compute_weighted_graph(g, "hi s r", emb)
+        assert isinstance(wg.entity_weights, np.ndarray) and isinstance(wg.relation_weights, np.ndarray)
+        assert wg.entity_weights.dtype == np.float64 and wg.relation_weights.dtype == np.float64
+        assert wg.entity_weights.shape == (g.n_entities,)
+        assert wg.relation_weights.shape == (g.n_relations,)
 
     def test_matches_naive_dense_oracle(self, rng):
         for trial in range(25):
@@ -295,8 +308,8 @@ class TestWeightedGraph:
         rows["unknown"] = rows["[UNK]"]
         ents, rels, ew, rw = naive_graph_pipeline(triples, question, rows, 12)
         assert ents == [e.surface for e in g.entities] and rels == [r.surface for r in g.relations]
-        np.testing.assert_allclose([wg.entity_weights[i] for i in range(len(ents))], ew, rtol=0, atol=1e-12)
-        np.testing.assert_allclose([wg.relation_weights[i] for i in range(len(rels))], rw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(wg.entity_weights, ew, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(wg.relation_weights, rw, rtol=0, atol=1e-12)
         for k in (1, 7, 40):
             sel = select_topk(wg, k, k)
             assert sel.top_entities == set(sorted(range(len(ew)), key=lambda i: (-ew[i], i))[:k])
@@ -308,8 +321,8 @@ class TestWeightedGraph:
         g = build_graph(triples)
         wg = compute_weighted_graph(g, "q s1 r2", emb)
         dump = inspect_dump(g, "q s1 r2", emb, 2, 1)
-        assert dump["entity_weights"] == {str(k): v for k, v in sorted(wg.entity_weights.items())}
-        assert dump["relation_weights"] == {str(k): v for k, v in sorted(wg.relation_weights.items())}
+        assert dump["entity_weights"] == {str(i): v for i, v in enumerate(wg.entity_weights.tolist())}
+        assert dump["relation_weights"] == {str(i): v for i, v in enumerate(wg.relation_weights.tolist())}
         sel = select_topk(wg, 2, 1)
         assert (dump["top_entities"], dump["top_relations"]) == (sorted(sel.top_entities), sorted(sel.top_relations))
 
@@ -324,8 +337,8 @@ class TestWeightedGraph:
         # first-appearance order of entities changes (o3 before s2's o2), so
         # compare by surface, which must be invariant
         wg2 = compute_weighted_graph(g2, "q s1", emb)
-        by_surface1 = {g1.entities[i].surface: w for i, w in wg1.entity_weights.items()}
-        by_surface2 = {g2.entities[i].surface: w for i, w in wg2.entity_weights.items()}
+        by_surface1 = {g1.entities[i].surface: w for i, w in enumerate(wg1.entity_weights.tolist())}
+        by_surface2 = {g2.entities[i].surface: w for i, w in enumerate(wg2.entity_weights.tolist())}
         for s in by_surface1:
             assert by_surface1[s] == pytest.approx(by_surface2[s], abs=1e-12)
 
@@ -349,8 +362,8 @@ class TestIndexLifetime:
                    TrainConfig(lr=0.1))
         after = compute_weighted_graph(g, "where is alpha beta", emb)
         fresh = compute_weighted_graph(build_graph(self.TRIPLES), "where is alpha beta", emb)
-        assert after == fresh
-        assert after != before
+        assert same_weights(after, fresh)
+        assert not same_weights(after, before)
 
     def test_one_graph_two_vocabularies(self):
         from kgdialog.sequence import AssemblyLimits, assemble_input, linearize_graph
@@ -371,23 +384,23 @@ class TestIndexLifetime:
                 table[vocab.token_to_id[w]] = vectors[w]
             emb = TokenEmbedder(vocab, table)
             weights.append(compute_weighted_graph(g, "alpha near", emb))
-            assert weights[-1] == compute_weighted_graph(build_graph(self.TRIPLES), "alpha near", emb)
-        assert weights[0] == weights[1]  # the same vector per word under other ids
-        assert weights[2] != weights[0]
+            assert same_weights(weights[-1], compute_weighted_graph(build_graph(self.TRIPLES), "alpha near", emb))
+        assert same_weights(weights[0], weights[1])  # the same vector per word under other ids
+        assert not same_weights(weights[2], weights[0])
 
 class TestSelect:
     def test_topk_basic(self):
-        wg = WeightedGraph({0: 0.5, 1: 0.3, 2: 0.2}, {0: 1.0})
+        wg = WeightedGraph(np.array([0.5, 0.3, 0.2]), np.array([1.0]))
         sel = select_topk(wg, 2, 1)
         assert sel.top_entities == {0, 1}
 
     def test_tie_broken_by_first_appearance(self):
-        wg = WeightedGraph({0: 0.4, 1: 0.3, 2: 0.3}, {0: 1.0})
+        wg = WeightedGraph(np.array([0.4, 0.3, 0.3]), np.array([1.0]))
         sel = select_topk(wg, 2, 1)
         assert sel.top_entities == {0, 1}
 
     def test_k_clamped(self):
-        wg = WeightedGraph({0: 0.6, 1: 0.4}, {0: 1.0})
+        wg = WeightedGraph(np.array([0.6, 0.4]), np.array([1.0]))
         sel = select_topk(wg, 10, 10)
         assert sel.top_entities == {0, 1}
         assert sel.top_relations == {0}
@@ -395,7 +408,7 @@ class TestSelect:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10))
     def test_selection_size_invariant(self, k):
-        wg = WeightedGraph({i: 1.0 / 5 for i in range(5)}, {i: 1.0 / 3 for i in range(3)})
+        wg = WeightedGraph(np.full(5, 1.0 / 5), np.full(3, 1.0 / 3))
         sel = select_topk(wg, k, k)
         assert len(sel.top_entities) == min(k, 5)
         assert len(sel.top_relations) == min(k, 3)

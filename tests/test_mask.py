@@ -26,8 +26,8 @@ def seq_for(graph=TWO_SUBJ, question="q ?", gold=None):
     return assemble_input(linearize_graph(graph), [], question, gold, VOCAB, LIMITS)
 
 
-def sel(entities, relations, k=7):
-    return Selection(frozenset(entities), frozenset(relations), k, k)
+def sel(entities, relations):
+    return Selection(frozenset(entities), frozenset(relations))
 
 
 def span_values(seq, cols, triple_id):

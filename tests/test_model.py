@@ -75,7 +75,7 @@ def scaled_model(**overrides):
 
 def masked_triple_columns(seq):
     """Key columns under a selection that hides triple 2 (s1, r2, o2)."""
-    cols = knowledge_column_mask(seq, Selection(frozenset({0, 1}), frozenset({0}), 7, 7), GRAPH)
+    cols = knowledge_column_mask(seq, Selection(frozenset({0, 1}), frozenset({0})), GRAPH)
     assert (cols == NEG_INF).any()
     return cols
 
@@ -272,7 +272,7 @@ class TestForward:
         seq = make_seq()
         state = make_model()
         # mask out triple 2 entirely (relation r2 not selected)
-        sel = Selection(frozenset({0, 1}), frozenset({0}), 7, 7)
+        sel = Selection(frozenset({0, 1}), frozenset({0}))
         cols = knowledge_column_mask(seq, sel, GRAPH)
         start, end = seq.triple_spans[2]
         assert (cols[start:end] == NEG_INF).all()
