@@ -1,11 +1,12 @@
 """Command-line interface: synth, train, eval, inspect, chat.
 
-Every configuration key has a default, can be set from a JSON config file
-(``--config`` or the KGDIALOG_CONFIG environment variable), and can be
-overridden by a flag of the same name. Exit codes: 0 success, 2 bad input
-(a missing or malformed file, a bad flag, config value or synth setting, an
-inspect question too long for the context, a corpus with no tokens, a
-training run whose loss diverged), 3 vocabulary mismatch.
+Every configuration key has a default and can be set from a JSON config file
+(``--config`` or the KGDIALOG_CONFIG environment variable); each command takes
+a flag of the same name for the keys it reads (``_COMMAND_KEYS``). Exit codes:
+0 success, 2 bad input (a missing or malformed file, a bad flag, config value
+or synth setting, an ablation the command cannot apply, an inspect question
+too long for the context, a corpus with no tokens, a training run whose loss
+diverged, a checkpoint whose forward pass overflows), 3 vocabulary mismatch.
 """
 
 from __future__ import annotations
@@ -117,15 +118,38 @@ _FLAG_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 _JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "bool": (bool, "true or false")}
 _KINDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}  # config key -> type name
 
+# Grounding, assembly and decoding settings that eval, inspect and chat take
+# from the checkpoint's run config, below a config file, ablations and flags.
+_CHECKPOINT_KEYS = (
+    "k_entity", "k_relation", "use_kg_mask", "temperature", "top_k", "top_p",
+    "max_response_length", "max_knowledge_tokens", "max_history_tokens",
+    "max_history_turns", "context_limit",
+)
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+# The keys each command reads, and so takes a flag for; the model a checkpoint
+# holds fixes its own shape and embeddings, so serving commands take none of those.
+_COMMAND_KEYS = {
+    "train": tuple(_KINDS),
+    "eval": _CHECKPOINT_KEYS + ("decode_seed", "threads"),
+    "chat": _CHECKPOINT_KEYS + ("decode_seed",),
+    "inspect": ("k_entity", "k_relation", "max_knowledge_tokens", "context_limit"),
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """``--config``, a flag per key ``command`` reads, and ``--ablation`` if an ablation sets only such keys."""
+    keys = _COMMAND_KEYS[command]
     parser.add_argument("--config", type=Path, default=None, help="JSON config file (default: $KGDIALOG_CONFIG)")
-    parser.add_argument(
-        "--ablation",
-        default=None,
-        help="comma list of " + ", ".join(sorted(_ABLATIONS)) + " (sugar over the use-* flags)",
-    )
+    ablations = sorted(name for name, sets in _ABLATIONS.items() if sets.keys() <= set(keys))
+    if ablations:
+        parser.add_argument(
+            "--ablation",
+            default=None,
+            help="comma list of " + ", ".join(ablations) + " (sugar over the use-* flags)",
+        )
     for f in dataclasses.fields(RunConfig):
+        if f.name not in keys:
+            continue
         flag = "--" + f.name.replace("_", "-")
         if f.type == "bool":
             parser.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction, default=None,
@@ -171,6 +195,10 @@ def resolve_config(args: argparse.Namespace, base: dict | None = None) -> RunCon
             name = name.strip()
             if name not in _ABLATIONS:
                 raise SchemaError(f"unknown ablation {name!r}; choose from {sorted(_ABLATIONS)}")
+            unread = [k for k in _ABLATIONS[name] if not hasattr(args, k)]
+            if unread:
+                raise SchemaError(f"ablation {name!r} sets {', '.join(unread)}, which {args.command} does not take: "
+                                  f"a checkpoint's embeddings are fixed when it is trained")
             for k, v in _ABLATIONS[name].items():
                 setattr(cfg, k, v)
     for name in _KINDS:
@@ -186,15 +214,6 @@ def resolve_config(args: argparse.Namespace, base: dict | None = None) -> RunCon
     if cfg.threads < 1:
         raise SchemaError(f"invalid config: threads must be >= 1, not {cfg.threads}")
     return cfg
-
-
-# Grounding, assembly and decoding settings that eval, inspect and chat take
-# from the checkpoint's run config, below a config file, ablations and flags.
-_CHECKPOINT_KEYS = (
-    "k_entity", "k_relation", "use_kg_mask", "temperature", "top_k", "top_p",
-    "max_response_length", "max_knowledge_tokens", "max_history_tokens",
-    "max_history_turns", "context_limit",
-)
 
 
 def _load_run(args: argparse.Namespace) -> tuple[Vocabulary, ModelState, RunConfig]:
@@ -250,17 +269,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     valid_split = corpus.load_dataset(data / "valid.json", "valid")
     vocab = build_vocab([train_split, valid_split], min_freq=cfg.min_freq)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_vocab(vocab, out / "vocab.txt")
-    vsha = vocab_sha256(vocab)
-
     state, history = training.train(
         train_split, valid_split, vocab, cfg.model_config(len(vocab)), cfg.train_config(),
         verbose=not args.quiet,
     )
+    # nothing is written until training succeeds, so a failed run leaves no partial --out
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    save_vocab(vocab, out / "vocab.txt")
     training.save_history(history, out / "history.csv")
-    save_checkpoint(out / "model.ckpt", state, vsha, dataclasses.asdict(cfg))
+    save_checkpoint(out / "model.ckpt", state, vocab_sha256(vocab), dataclasses.asdict(cfg))
     print(f"wrote {out / 'model.ckpt'}, {out / 'vocab.txt'}, {out / 'history.csv'}")
     return 0
 
@@ -412,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory with train.json and valid.json")
     p.add_argument("--out", required=True, help="output directory for checkpoint, vocab, history")
     p.add_argument("--quiet", action="store_true", help="suppress per-epoch progress")
-    _add_config_flags(p)
+    _add_config_flags(p, "train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -425,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-samples", type=_positive_int, default=None, help="cap evaluated samples (default: all)")
     p.add_argument("--k-entity-grid", type=_parse_k_grid, default=None, help="comma list of k values or 'all'")
     p.add_argument("--k-relation-grid", type=_parse_k_grid, default=None, help="comma list of k values or 'all'")
-    _add_config_flags(p)
+    _add_config_flags(p, "eval")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("inspect", help="dump the weighted graph for a KG file and question")
@@ -434,14 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--question", required=True)
     p.add_argument("--vocab", default=None)
     p.add_argument("--dump-mask", action="store_true", help="include per-triple mask summary")
-    _add_config_flags(p)
+    _add_config_flags(p, "inspect")
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("chat", help="interactive REPL over a checkpoint and KG file")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--kg", required=True)
     p.add_argument("--vocab", default=None)
-    _add_config_flags(p)
+    _add_config_flags(p, "chat")
     p.set_defaults(func=cmd_chat)
 
     return parser
@@ -460,6 +478,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except TrainingDiverged as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
+        return 2
+    except FloatingPointError as e:  # raised by the model's finite-logit check
+        print(f"error: {e}: the checkpoint's weights overflow", file=sys.stderr)
         return 2
 
 

@@ -201,6 +201,8 @@ def dataset_loss(
     return total / max(count, 1)
 
 
+# a diverging run ends in TrainingDiverged from the finite checks below, not in overflow warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     train_split: DatasetSplit,
     valid_split: DatasetSplit | None,
@@ -272,7 +274,10 @@ def train(
                 accum, accum_count = None, 0
 
         train_loss = epoch_loss / epoch_n
-        valid_loss = dataset_loss(valid_split, vocab, state, cfg) if valid_split else float("nan")
+        try:
+            valid_loss = dataset_loss(valid_split, vocab, state, cfg) if valid_split else float("nan")
+        except FloatingPointError as e:
+            raise TrainingDiverged(f"{e} at epoch {epoch}, found in validation") from e
         history.append({"epoch": epoch, "train_loss": train_loss, "valid_loss": valid_loss})
         if verbose:
             seconds = time.perf_counter() - t0

@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import json
+import re
 
 import pytest
 
@@ -281,7 +283,7 @@ class TestBadInput:
         (["--k-entity", "-3"], "k_entity"),
         (["--temperature", "0"], "temperature"),
         (["--decode-seed", "-1"], "seed"),
-        (["--n-heads", "0"], "n_heads must be >= 1"),
+        (["--top-p", "0"], "top_p must be in (0, 1]"),
         (["--max-response-length", "-1"], "max_response_length"),
         (["--max-history-turns", "-1"], "max_history_turns"),
         (["--threads", "0"], "threads"),
@@ -417,13 +419,90 @@ class TestBadInput:
                      "--epochs", "0"]) == 0
         assert (tmp_path / "o" / "model.ckpt").exists()
 
-    def test_diverged_run(self, data_dir, tmp_path, capsys):
+    def test_diverged_run(self, data_dir, tmp_path, capsys, recwarn):
         rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet",
                    "--epochs", "1", "--lr", "1e9", "--grad-accum-steps", "1"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "error: training diverged:" in err and "at epoch 0 micro-batch" in err and "Traceback" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "o" / "model.ckpt").exists()
+        assert not (tmp_path / "o" / "vocab.txt").exists()
+
+    def test_diverged_in_validation(self, data_dir, tmp_path, capsys, recwarn):
+        # one optimizer step per epoch: its loss is finite, and the step's weights overflow in validation
+        rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet",
+                   "--epochs", "1", "--lr", "1e9", "--grad-accum-steps", "1", "--batch-size", "64"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: training diverged:" in err and "at epoch 0, found in validation" in err
+        assert "Traceback" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_checkpoint_refused_by_eval_and_chat(self, tmp_path, monkeypatch, capsys):
+        # with no valid split nothing checks the diverged weights: training ends with finite but huge ones
+        data, run = tmp_path / "d", tmp_path / "run"
+        assert main(["synth", "--out", str(data), "--n", "5", "--subjects", "2", "--relations", "2"]) == 0
+        assert main(["train", "--data", str(data), "--out", str(run), "--quiet", "--epochs", "1",
+                     "--d-model", "32", "--n-heads", "2", "--n-layers", "1", "--d-ff", "64",
+                     "--lr", "1e9", "--grad-accum-steps", "1", "--batch-size", "64"]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--ckpt", str(run / "model.ckpt"), "--data", str(data), "--report", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: non-finite logits" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+        kg = tmp_path / "kg.json"
+        kg.write_text(json.dumps({"triples": [["starbucks", "distance", "4 miles"]]}))
+        monkeypatch.setattr("sys.stdin", io.StringIO("how far ?\n"))
+        assert main(["chat", "--ckpt", str(run / "model.ckpt"), "--kg", str(kg)]) == 2
+        captured = capsys.readouterr()
+        assert "error: non-finite logits" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ["--d-model", "64"]),
+        ("eval", ["--lr", "3"]),
+        ("eval", ["--use-entity-emb"]),
+        ("chat", ["--threads", "2"]),
+        ("chat", ["--dropout", "0.5"]),
+        ("inspect", ["--temperature", "0.5"]),
+        ("inspect", ["--use-kg-mask"]),
+        ("inspect", ["--ablation", "no-kg-mask"]),
+    ])
+    def test_serving_command_refuses_unread_flag(self, data_dir, run_dir, tmp_path, capsys, command, flags):
+        ckpt, kg = str(run_dir / "model.ckpt"), str(tmp_path / "kg.json")
+        args = {
+            "eval": ["--data", str(data_dir), "--report", str(tmp_path / "r.json")],
+            "chat": ["--kg", kg],
+            "inspect": ["--kg", kg, "--question", "how far ?"],
+        }[command]
+        with pytest.raises(SystemExit) as e:
+            main([command, "--ckpt", ckpt, *args, *flags])
+        assert e.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_eval_refuses_embedding_ablation(self, data_dir, run_dir, tmp_path, capsys):
+        rc = main(["eval", "--ckpt", str(run_dir / "model.ckpt"), "--data", str(data_dir),
+                   "--report", str(tmp_path / "r.json"), "--ablation", "no-entity-emb"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: ablation 'no-entity-emb' sets use_entity_emb, which eval does not take" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_chat_refuses_seq2seq_ablation(self, run_dir, tmp_path, monkeypatch, capsys):
+        kg = tmp_path / "kg.json"
+        kg.write_text(json.dumps({"triples": [["starbucks", "distance", "4 miles"]]}))
+        monkeypatch.setattr("sys.stdin", io.StringIO("how far ?\n"))
+        rc = main(["chat", "--ckpt", str(run_dir / "model.ckpt"), "--kg", str(kg), "--ablation", "seq2seq"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert ("error: ablation 'seq2seq' sets use_entity_emb, use_triple_emb, use_type_emb, "
+                "which chat does not take") in captured.err
+        assert "chat ready" not in captured.err and captured.out == ""
 
     def test_heads_not_dividing_width(self, data_dir, tmp_path, capsys):
         rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet",
@@ -435,8 +514,6 @@ class TestBadInput:
 
 class TestChat:
     def run_chat(self, run_dir, tmp_path, monkeypatch, lines, max_response_length=5):
-        import io
-
         kg = tmp_path / "kg.json"
         kg.write_text(json.dumps({"triples": [["starbucks", "distance", "4 miles"]]}))
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
@@ -476,8 +553,6 @@ class TestChat:
     def test_ids_past_embedding_tables_rejected(self, run_dir, tmp_path, monkeypatch, capsys, flags):
         # 200 single-triple subjects fill 480 knowledge tokens with ~80 subject groups and
         # triples, past the checkpoint's 8-row entity and triple tables, whatever is selected
-        import io
-
         kg = tmp_path / "kg.json"
         kg.write_text(json.dumps({"triples": [[f"place{i}", "distance", f"{i} miles"] for i in range(200)]}))
         monkeypatch.setattr("sys.stdin", io.StringIO("how far ?\n/quit\n"))
@@ -497,6 +572,11 @@ class TestChat:
         assert captured.out == ""
 
 
+# The grounding, assembly and decoding keys a checkpoint's run config gives the serving commands
+_SERVING_KEYS = ("k_entity", "k_relation", "use_kg_mask", "temperature", "top_k", "top_p", "max_response_length",
+                 "max_knowledge_tokens", "max_history_tokens", "max_history_turns", "context_limit")
+
+
 class TestHelp:
     def test_help_lists_config_keys(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -506,6 +586,24 @@ class TestHelp:
         for key in ("--lr", "--k-entity", "--max-history-turns", "--temperature", "--use-kg-mask"):
             assert key in out
         assert "default" in out
+
+    @pytest.mark.parametrize("command, own, keys", [
+        ("eval", ("ckpt", "data", "split", "report", "vocab", "hyp-from-gold", "max-samples", "k-entity-grid",
+                  "k-relation-grid", "config", "ablation"), _SERVING_KEYS + ("decode_seed", "threads")),
+        ("chat", ("ckpt", "kg", "vocab", "config", "ablation"), _SERVING_KEYS + ("decode_seed",)),
+        ("inspect", ("ckpt", "kg", "question", "vocab", "dump-mask", "config"),
+         ("k_entity", "k_relation", "max_knowledge_tokens", "context_limit")),
+    ])
+    def test_serving_help_lists_exactly_its_keys(self, capsys, command, own, keys):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--help"])
+        assert e.value.code == 0
+        options = capsys.readouterr().out.split("options:")[1]
+        flags = re.findall(r"^  (?:-h, )?(--[a-z-]+)", options, re.M)
+        assert sorted(flags) == sorted(["--help", *("--" + o for o in own), *("--" + k.replace("_", "-") for k in keys)])
+        if "ablation" in own:  # the one ablation that acts on a trained model
+            assert "comma list of no-kg-mask (" in options
+
 
 
 # The config each RunConfig key configures, written out here so that a key
