@@ -19,7 +19,6 @@ from .corpus import (
     generate_synthetic,
     load_dataset,
     normalize_text,
-    save_dataset,
 )
 from .evaluation import EvalReport, entity_f1, evaluate, sentence_bleu
 from .graph_weights import (

@@ -10,6 +10,7 @@ holds a model config ``ModelConfig`` refuses, or lists tensors other than
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -34,7 +35,7 @@ def save_checkpoint(path: str | Path, state: ModelState, vocab_sha: str, run_con
     manifest = [[name, list(arr.shape)] for name, arr in state.params.items()]
     header = {
         "format_version": FORMAT_VERSION,
-        "model_config": state.cfg.to_dict(),
+        "model_config": dataclasses.asdict(state.cfg),
         "vocab_sha256": vocab_sha,
         "tensors": manifest,
         "run_config": run_config or {},
@@ -45,11 +46,6 @@ def save_checkpoint(path: str | Path, state: ModelState, vocab_sha: str, run_con
         f.write(blob)
         for _, arr in state.params.items():
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def read_header(path: str | Path) -> dict:
-    with Path(path).open("rb") as f:
-        return _read_header(f, path)
 
 
 def _read_header(f: BinaryIO, path: str | Path) -> dict:
@@ -77,7 +73,7 @@ def load_checkpoint(path: str | Path, expect_vocab_sha: str | None = None) -> tu
         header = _read_header(f, path)
         try:
             vocab_sha = str(header["vocab_sha256"])
-            cfg = ModelConfig.from_dict(header["model_config"])
+            cfg = ModelConfig(**header["model_config"])
             manifest = [(name, tuple(shape)) for name, shape in header["tensors"]]
         except KeyError as e:
             raise CheckpointError(f"{path}: malformed header: no {e.args[0]!r} entry") from None

@@ -147,16 +147,14 @@ def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
             default=None,
             help="comma list of " + ", ".join(ablations) + " (sugar over the use-* flags)",
         )
+    from_checkpoint = () if command == "train" else _CHECKPOINT_KEYS
     for f in dataclasses.fields(RunConfig):
         if f.name not in keys:
             continue
         flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            parser.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction, default=None,
-                                help=f"default: {f.default}")
-        else:
-            parser.add_argument(flag, dest=f.name, type=_FLAG_TYPES[f.type], default=None,
-                                help=f"default: {f.default}")
+        default = f"the checkpoint's run config, else {f.default}" if f.name in from_checkpoint else f.default
+        kind = {"action": argparse.BooleanOptionalAction} if f.type == "bool" else {"type": _FLAG_TYPES[f.type]}
+        parser.add_argument(flag, dest=f.name, default=None, help=f"default: {default}", **kind)
 
 
 def _typed_config(doc: dict, source: str) -> dict:
@@ -298,14 +296,6 @@ def _parse_k_grid(value: str) -> list[int]:
     return [10**9 if v == "all" else int(v) for v in ks]
 
 
-def _eval_once(state, split, vocab, lexicon, cfg: RunConfig, args, k_entity: int, k_relation: int):
-    tcfg = dataclasses.replace(cfg.train_config(), k_entity=k_entity, k_relation=k_relation)
-    return evaluation.evaluate(
-        state, split, vocab, lexicon, cfg.decoding(), tcfg,
-        hyp_from_gold=args.hyp_from_gold, threads=cfg.threads, max_samples=args.max_samples,
-    )
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     vocab, state, cfg = _load_run(args)
 
@@ -322,7 +312,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     report_path = Path(args.report)
     for ke, kr in pairs:
-        report = _eval_once(state, split, vocab, lexicon, cfg, args, ke, kr)
+        report = evaluation.evaluate(
+            state, split, vocab, lexicon, cfg.decoding(),
+            dataclasses.replace(cfg.train_config(), k_entity=ke, k_relation=kr),
+            hyp_from_gold=args.hyp_from_gold, threads=cfg.threads, max_samples=args.max_samples,
+        )
         if len(pairs) == 1:
             out_path = report_path
         else:
@@ -386,10 +380,11 @@ def cmd_chat(args: argparse.Namespace) -> int:
         question = corpus.normalize_text(line)
         if not question:
             continue
+        sample = corpus.DialogueSample(
+            id="chat#0", domain="chat", graph=graph, history=tuple(history), question=question, gold_response="",
+        )
         try:
-            response = evaluation.generate_response(
-                state, _chat_sample(graph, history, question), vocab, decoding, train_cfg, turn_index
-            )
+            response = evaluation.generate_response(state, sample, vocab, decoding, train_cfg, turn_index)
         except SequenceTooLongError as e:
             print(f"input rejected: {e}", file=sys.stderr)
             continue
@@ -401,13 +396,6 @@ def cmd_chat(args: argparse.Namespace) -> int:
         history.append(corpus.DialogueTurn(corpus.SYSTEM, response or "..."))
         turn_index += 1
     return 0
-
-
-def _chat_sample(graph, history, question) -> corpus.DialogueSample:
-    return corpus.DialogueSample(
-        id="chat#0", domain="chat", graph=graph, history=tuple(history),
-        question=question, gold_response="",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -236,46 +236,6 @@ def load_dataset(path: str | Path, split: str) -> DatasetSplit:
     return expand_dialogues(doc["dialogues"], split)
 
 
-def dialogue_count(split: DatasetSplit) -> int:
-    """Number of source dialogues behind an expanded split."""
-    return len({s.id.rsplit("#", 1)[0] for s in split.samples})
-
-
-def split_to_dialogues(split: DatasetSplit) -> list[dict]:
-    """Regroup expanded samples into normalized dialogue dicts."""
-    by_dialogue: dict[str, DialogueSample] = {}
-    order: list[str] = []
-    for s in split.samples:
-        base = s.id.rsplit("#", 1)[0]
-        if base not in by_dialogue:
-            order.append(base)
-        prev = by_dialogue.get(base)
-        if prev is None or len(s.history) > len(prev.history):
-            by_dialogue[base] = s
-
-    dialogues = []
-    for base in order:
-        s = by_dialogue[base]
-        turns = [{"speaker": t.speaker, "text": t.text} for t in s.history]
-        turns.append({"speaker": USER, "text": s.question})
-        turns.append({"speaker": SYSTEM, "text": s.gold_response})
-        dialogues.append(
-            {
-                "id": base,
-                "domain": s.domain,
-                "kg": {"triples": [list(s.graph.triple_surfaces(i)) for i in range(len(s.graph.triples))]},
-                "turns": turns,
-            }
-        )
-    return dialogues
-
-
-def save_dataset(split: DatasetSplit, path: str | Path) -> None:
-    """Write a split back to the normalized JSON format (round-trip safe)."""
-    doc = {"dialogues": split_to_dialogues(split)}
-    Path(path).write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
-
-
 def entity_lexicon(splits: Iterable[DatasetSplit]) -> list[str]:
     """All entity surfaces across splits, longest (in tokens) first.
 

@@ -146,14 +146,18 @@ def generate_response(
     and ``index``, so a run's responses do not depend on the order or the
     thread in which its requests are served. Triple selection, masking and
     the assembly limits come from ``train_cfg``. Raises
-    ``SequenceTooLongError`` for a request the model cannot take.
+    ``SequenceTooLongError`` for a request the model cannot take, and
+    ``FloatingPointError``, without overflow warnings, for a checkpoint
+    whose forward pass overflows.
     """
     params = replace(decoding, seed=int(np.random.SeedSequence([decoding.seed, index]).generate_state(1)[0]))
-    seq, cols = build_sample_inputs(
-        sample, vocab, state, train_cfg.k_entity, train_cfg.k_relation,
-        train_cfg.use_kg_mask, train_cfg.limits, with_gold=False,
-    )
-    ids = sample_response(state, seq, compose_mask(seq, cols), params, vocab.eos_id)
+    # one errstate per call: NumPy 1.x's decorator form shares one instance across evaluate's threads
+    with np.errstate(over="ignore", invalid="ignore"):
+        seq, cols = build_sample_inputs(
+            sample, vocab, state, train_cfg.k_entity, train_cfg.k_relation,
+            train_cfg.use_kg_mask, train_cfg.limits, with_gold=False,
+        )
+        ids = sample_response(state, seq, compose_mask(seq, cols), params, vocab.eos_id)
     return " ".join(vocab.decode(ids))
 
 

@@ -44,9 +44,12 @@ class ModelConfig:
     use_type_emb: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_positions"):
+        for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_positions",
+                     "max_entity_ids", "max_triple_ids"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.n_types < TYPE_SYSTEM + 1:  # the sequence layer writes types 0..TYPE_SYSTEM
+            raise ValueError(f"n_types must be >= {TYPE_SYSTEM + 1}, one per segment type")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout < 1.0:
@@ -55,13 +58,6 @@ class ModelConfig:
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass

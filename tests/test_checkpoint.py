@@ -8,7 +8,6 @@ from kgdialog.checkpoint import (
     CheckpointError,
     VocabMismatchError,
     load_checkpoint,
-    read_header,
     save_checkpoint,
 )
 from kgdialog.model import ModelConfig, init_model
@@ -61,7 +60,7 @@ def test_truncated_file_rejected(state, tmp_path):
 def test_header_readable_without_tensors(state, tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, state, "cd" * 32, {"use_kg_mask": False})
-    header = read_header(path)
+    header = load_checkpoint(path)[1]
     assert header["format_version"] == 1
     assert header["model_config"]["d_model"] == 16
     assert header["run_config"]["use_kg_mask"] is False
@@ -103,9 +102,14 @@ def _edited(change):
     (_edited(lambda h: h.pop("tensors")), "no 'tensors' entry"),
     (_edited(lambda h: h["model_config"].update(d_model=32)), "manifest does not match"),
     (_edited(lambda h: h["tensors"][0].__setitem__(1, [-1, 16])), "manifest does not match"),
+    (_edited(lambda h: h["model_config"].update(n_types=2)), "n_types must be >= 3"),
+    (_edited(lambda h: h["model_config"].update(n_types=1)), "n_types must be >= 3"),
+    (_edited(lambda h: h["model_config"].update(max_entity_ids=0)), "max_entity_ids must be >= 1"),
+    (_edited(lambda h: h["model_config"].update(max_triple_ids=0)), "max_triple_ids must be >= 1"),
     (lambda h: b"[1]", "not a JSON object"),
     (lambda h: b"\xff{}", "not JSON"),
-], ids=["zero_heads", "unknown_key", "no_tensors", "wrong_width", "negative_dim", "json_list", "not_utf8"])
+], ids=["zero_heads", "unknown_key", "no_tensors", "wrong_width", "negative_dim", "two_types", "one_type",
+        "no_entity_ids", "no_triple_ids", "json_list", "not_utf8"])
 def test_malformed_header_rejected(state, tmp_path, edit, message):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, state, "ef" * 32)

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from kgdialog.checkpoint import load_checkpoint, save_checkpoint
 from kgdialog.cli import RunConfig, main
 from kgdialog.model import DecodingParams, ModelConfig
 from kgdialog.sequence import AssemblyLimits
@@ -69,9 +70,7 @@ class TestTrain:
             "--max-triple-ids", "8", "--ablation", "no-kg-mask",
         ])
         assert rc == 0
-        from kgdialog.checkpoint import read_header
-
-        header = read_header(out / "model.ckpt")
+        header = load_checkpoint(out / "model.ckpt")[1]
         assert header["run_config"]["use_kg_mask"] is False
 
     def test_unknown_config_key_rejected(self, data_dir, tmp_path, capsys):
@@ -91,9 +90,7 @@ class TestTrain:
         out = tmp_path / "envrun"
         rc = main(["train", "--data", str(data_dir), "--out", str(out), "--quiet"])
         assert rc == 0
-        from kgdialog.checkpoint import read_header
-
-        assert read_header(out / "model.ckpt")["model_config"]["d_model"] == 16
+        assert load_checkpoint(out / "model.ckpt")[1]["model_config"]["d_model"] == 16
 
 
 class TestEval:
@@ -320,6 +317,9 @@ class TestBadInput:
         (["--epochs", "-1"], "epochs must be >= 0"),
         (["--warmup-steps", "-3"], "warmup_steps must be >= 0"),
         (["--weight-decay", "-1"], "weight_decay must be >= 0"),
+        (["--max-entity-ids", "-1"], "max_entity_ids must be >= 1"),
+        (["--max-entity-ids", "0"], "max_entity_ids must be >= 1"),
+        (["--max-triple-ids", "0"], "max_triple_ids must be >= 1"),
     ])
     def test_bad_train_config_value(self, data_dir, tmp_path, capsys, flags, message):
         rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet",
@@ -364,8 +364,6 @@ class TestBadInput:
     ])
     def test_wrong_typed_checkpoint_run_config(self, data_dir, run_dir, tmp_path, capsys, key, value, message):
         import shutil
-
-        from kgdialog.checkpoint import load_checkpoint, save_checkpoint
 
         state, header = load_checkpoint(run_dir / "model.ckpt")
         ckpt = tmp_path / "model.ckpt"
@@ -440,7 +438,7 @@ class TestBadInput:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "o").exists()
 
-    def test_overflowing_checkpoint_refused_by_eval_and_chat(self, tmp_path, monkeypatch, capsys):
+    def test_overflowing_checkpoint_refused_by_eval_and_chat(self, tmp_path, monkeypatch, capsys, recwarn):
         # with no valid split nothing checks the diverged weights: training ends with finite but huge ones
         data, run = tmp_path / "d", tmp_path / "run"
         assert main(["synth", "--out", str(data), "--n", "5", "--subjects", "2", "--relations", "2"]) == 0
@@ -460,6 +458,7 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert "error: non-finite logits" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("command, flags", [
         ("eval", ["--d-model", "64"]),
@@ -603,6 +602,19 @@ class TestHelp:
         assert sorted(flags) == sorted(["--help", *("--" + o for o in own), *("--" + k.replace("_", "-") for k in keys)])
         if "ablation" in own:  # the one ablation that acts on a trained model
             assert "comma list of no-kg-mask (" in options
+
+    @pytest.mark.parametrize("command", ["train", "eval", "chat", "inspect"])
+    def test_help_names_checkpoint_defaults(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = capsys.readouterr().out.split("options:")[1]
+        defaults = dict(re.findall(r"^  --([a-z-]+)[^\n]*?\n?\s+default: ([^\n]+)$", options, re.M))
+        from_checkpoint = () if command == "train" else _SERVING_KEYS
+        prefix = "" if command == "train" else "the checkpoint's run config, else "
+        for key, default in defaults.items():
+            in_checkpoint = key.replace("-", "_") in from_checkpoint
+            assert default.startswith("the checkpoint's run config, else ") == in_checkpoint, key
+        assert defaults["k-entity"] == f"{prefix}{RunConfig.k_entity}"
 
 
 

@@ -7,12 +7,10 @@ from kgdialog.corpus import (
     SynthConfig,
     ValidationError,
     build_graph,
-    dialogue_count,
     entity_lexicon,
     generate_synthetic,
     load_dataset,
     normalize_text,
-    save_dataset,
 )
 
 
@@ -89,7 +87,7 @@ class TestLoad:
         dialogues = [minimal_dialogue(did=f"d{i}") for i in range(12)]
         path = write_dataset(tmp_path, dialogues)
         split = load_dataset(path, "train")
-        assert dialogue_count(split) == 12
+        assert {s.id.rsplit("#", 1)[0] for s in split.samples} == {f"d{i}" for i in range(12)}
         # single-exchange dialogues expand 1:1
         assert len(split.samples) == 12
 
@@ -105,32 +103,6 @@ class TestLoad:
         assert len(split.samples) == 2
         assert split.samples[1].history[0].text == "q one"
         assert split.samples[1].question == "q two"
-
-    def test_round_trip(self, tmp_path):
-        dialogues = [
-            minimal_dialogue(did="a"),
-            minimal_dialogue(
-                did="b",
-                turns=[
-                    {"speaker": "user", "text": "how far is starbucks ?"},
-                    {"speaker": "system", "text": "it is 4 miles away"},
-                    {"speaker": "user", "text": "and the address ?"},
-                    {"speaker": "system", "text": "792 bedoin st"},
-                ],
-            ),
-        ]
-        path = write_dataset(tmp_path, dialogues)
-        split = load_dataset(path, "train")
-        out = tmp_path / "out.json"
-        save_dataset(split, out)
-        again = load_dataset(out, "train")
-        assert len(again.samples) == len(split.samples)
-        for a, b in zip(split.samples, again.samples):
-            assert a.id == b.id
-            assert a.question == b.question
-            assert a.gold_response == b.gold_response
-            assert a.history == b.history
-            assert a.graph == b.graph
 
 
 class TestGraph:
@@ -194,7 +166,7 @@ class TestSynthetic:
     def test_counts_by_construction(self):
         cfg = SynthConfig(n_dialogues=40, n_subjects_per_graph=5, n_relations=4, seed=1)
         split = generate_synthetic(cfg)
-        assert dialogue_count(split) == 40
+        assert len({s.id.rsplit("#", 1)[0] for s in split.samples}) == 40
         for s in split.samples:
             assert len(s.graph.triples) == 20
             objects = {s.graph.triples[i].object for i in range(20)}

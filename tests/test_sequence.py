@@ -40,7 +40,7 @@ def vocab_over(*texts):
 class TestVocab:
     def test_specials_first_and_pad_zero(self, tiny_vocab):
         assert tiny_vocab.id_to_token[: len(SPECIAL_TOKENS)] == SPECIAL_TOKENS
-        assert tiny_vocab.pad_id == 0
+        assert tiny_vocab.token_to_id["[PAD]"] == 0
 
     def test_min_freq_threshold(self, tiny_split):
         # craft via synthetic split: every template word appears often; check
@@ -145,7 +145,6 @@ class TestAssemble:
     def test_stream_alignment_and_layout(self, tiny_split, tiny_vocab, limits):
         s = tiny_split.samples[0]
         seq = assemble(s, tiny_vocab, limits)
-        seq.validate()
         toks = tiny_vocab.decode(seq.token_ids)
         assert toks[0] == "[BOS]"
         assert toks[seq.knowledge_end] == "[SEP]"
