@@ -183,7 +183,7 @@ def resolve_config(args: argparse.Namespace, base: dict | None = None) -> RunCon
     cfg = RunConfig(**(base or {}))
     path = args.config or (Path(os.environ[ENV_CONFIG]) if os.environ.get(ENV_CONFIG) else None)
     if path is not None:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = corpus.read_json(Path(path))
         if not isinstance(doc, dict):
             raise SchemaError(f"{path}: a config file must hold one JSON object of config keys")
         for k, v in _typed_config(doc, str(path)).items():
@@ -226,8 +226,8 @@ def _load_run(args: argparse.Namespace) -> tuple[Vocabulary, ModelState, RunConf
 
 
 def _load_graph_file(path: Path) -> corpus.KnowledgeGraph:
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if isinstance(doc, dict) and "triples" in doc:
+    doc = corpus.read_json(path)
+    if isinstance(doc, dict) and isinstance(doc.get("triples"), list):
         return corpus.build_graph(doc["triples"], owner=str(path))
     raise SchemaError(f"{path}: expected an object with a 'triples' list")
 
@@ -460,8 +460,8 @@ def main(argv: list[str] | None = None) -> int:
     except VocabMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, SchemaError, ValidationError, CheckpointError, json.JSONDecodeError,
-            SequenceTooLongError, EmptyCorpusError) as e:
+    except (FileNotFoundError, SchemaError, ValidationError, CheckpointError, SequenceTooLongError,
+            EmptyCorpusError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TrainingDiverged as e:

@@ -34,8 +34,9 @@ _TERMINAL_PUNCT = re.compile(r"\s*([.!?]+)$")
 def normalize_text(text: str) -> str:
     """Lowercase, collapse whitespace, and split terminal punctuation off."""
     t = " ".join(text.lower().split())
-    t = _TERMINAL_PUNCT.sub(r" \1", t)
-    return t.strip()
+    if t.endswith((".", "!", "?")):  # else neither the substitution nor the strip changes t
+        t = _TERMINAL_PUNCT.sub(r" \1", t).strip()
+    return t
 
 
 @dataclass(frozen=True)
@@ -96,37 +97,48 @@ class KnowledgeGraph:
         return list(groups.items())
 
 
+class _Surfaces(dict):
+    """Raw surface -> normalized surface, computed on first lookup.
+
+    One instance serves one load, so each distinct raw string is normalized
+    once however many triples repeat it, and equal surfaces share one ``str``.
+    """
+
+    def __missing__(self, raw: str) -> str:
+        surface = self[raw] = normalize_text(raw)
+        return surface
+
+
 def build_graph(surface_triples: Sequence[Sequence[str]], owner: str = "?") -> KnowledgeGraph:
     """Build a graph from ``[[subject, relation, object], ...]`` surface triples."""
+    return _build_graph(surface_triples, owner, _Surfaces())
+
+
+def _build_graph(surface_triples: Sequence[Sequence[str]], owner: str, surfaces: _Surfaces) -> KnowledgeGraph:
     ent_ids: dict[str, int] = {}
     rel_ids: dict[str, int] = {}
     triples: list[Triple] = []
     seen: set[tuple[int, int, int]] = set()
 
-    def ent(surface: str, pos: str) -> int:
-        s = normalize_text(surface)
-        if not s:
-            raise SchemaError(f"dialogue {owner!r}: empty {pos} surface in kg.triples")
-        if s not in ent_ids:
-            ent_ids[s] = len(ent_ids)
-        return ent_ids[s]
-
     for i, raw in enumerate(surface_triples):
-        if len(raw) != 3 or not all(isinstance(x, str) for x in raw):
+        if not isinstance(raw, (list, tuple)) or len(raw) != 3 or not all(isinstance(x, str) for x in raw):
             raise SchemaError(f"dialogue {owner!r}: kg.triples[{i}] must be [subject, relation, object] strings")
-        s = ent(raw[0], "subject")
-        r_surf = normalize_text(raw[1])
-        if not r_surf:
+        s, r, o = surfaces[raw[0]], surfaces[raw[1]], surfaces[raw[2]]
+        if not s:
+            raise SchemaError(f"dialogue {owner!r}: empty subject surface in kg.triples[{i}]")
+        if not r:
             raise SchemaError(f"dialogue {owner!r}: empty relation surface in kg.triples[{i}]")
-        if r_surf not in rel_ids:
-            rel_ids[r_surf] = len(rel_ids)
-        r = rel_ids[r_surf]
-        o = ent(raw[2], "object")
-        key = (s, r, o)
+        if not o:
+            raise SchemaError(f"dialogue {owner!r}: empty object surface in kg.triples[{i}]")
+        key = (
+            ent_ids.setdefault(s, len(ent_ids)),
+            rel_ids.setdefault(r, len(rel_ids)),
+            ent_ids.setdefault(o, len(ent_ids)),
+        )
         if key in seen:
             raise SchemaError(f"dialogue {owner!r}: duplicate triple at kg.triples[{i}]")
         seen.add(key)
-        triples.append(Triple(s, r, o))
+        triples.append(Triple(*key))
 
     return KnowledgeGraph(
         entities=tuple(Entity(i, s) for s, i in ent_ids.items()),
@@ -162,7 +174,7 @@ class DatasetSplit:
         return len(self.samples)
 
 
-def _expand_dialogue(raw: dict, index: int) -> list[DialogueSample]:
+def _expand_dialogue(raw: dict, index: int, surfaces: _Surfaces) -> list[DialogueSample]:
     if not isinstance(raw, dict):
         raise SchemaError(f"dialogues[{index}] is not an object")
     did = raw.get("id")
@@ -178,13 +190,16 @@ def _expand_dialogue(raw: dict, index: int) -> list[DialogueSample]:
     if not isinstance(turns_raw, list) or not turns_raw:
         raise SchemaError(f"dialogue {did!r}: missing or empty field 'turns'")
 
-    graph = build_graph(kg["triples"], owner=did)
+    graph = _build_graph(kg["triples"], did, surfaces)
 
     turns: list[DialogueTurn] = []
     for j, t in enumerate(turns_raw):
         if not isinstance(t, dict) or t.get("speaker") not in (USER, SYSTEM):
             raise SchemaError(f"dialogue {did!r}: turns[{j}] needs speaker 'user' or 'system'")
-        text = normalize_text(t.get("text", ""))
+        text = t.get("text", "")
+        if not isinstance(text, str):
+            raise SchemaError(f"dialogue {did!r}: turns[{j}] text must be a string")
+        text = normalize_text(text)
         if not text:
             raise SchemaError(f"dialogue {did!r}: turns[{j}] has empty text")
         turns.append(DialogueTurn(t["speaker"], text))
@@ -216,9 +231,21 @@ def _expand_dialogue(raw: dict, index: int) -> list[DialogueSample]:
 
 def expand_dialogues(dialogues: Sequence[dict], split: str) -> DatasetSplit:
     samples: list[DialogueSample] = []
+    surfaces = _Surfaces()
     for i, d in enumerate(dialogues):
-        samples.extend(_expand_dialogue(d, i))
+        samples.extend(_expand_dialogue(d, i, surfaces))
     return DatasetSplit(split, tuple(samples))
+
+
+def read_json(path: Path) -> object:
+    """Parse a UTF-8 JSON file; undecodable bytes or invalid JSON raise a SchemaError naming it."""
+    try:
+        with path.open("r", encoding="utf-8") as f:
+            return json.load(f)
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not UTF-8 text: {e}") from None
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{path}: invalid JSON: {e}") from e
 
 
 def load_dataset(path: str | Path, split: str) -> DatasetSplit:
@@ -226,11 +253,7 @@ def load_dataset(path: str | Path, split: str) -> DatasetSplit:
     if split not in SPLIT_NAMES:
         raise ValueError(f"split must be one of {SPLIT_NAMES}, got {split!r}")
     path = Path(path)
-    with path.open("r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path}: invalid JSON: {e}") from e
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("dialogues"), list):
         raise SchemaError(f"{path}: top-level object must contain a 'dialogues' list")
     return expand_dialogues(doc["dialogues"], split)

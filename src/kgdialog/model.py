@@ -698,6 +698,8 @@ class DecodingParams:
 def sample_next(logits: np.ndarray, params: DecodingParams, rng: np.random.Generator) -> int:
     """Temperature, then top-k, then nucleus truncation, then sample."""
     z = logits.astype(np.float64) / params.temperature
+    if params.top_k == 1:  # the first of the stable descending order, ties and infinities included
+        return int(np.argmax(z))
     order = np.argsort(-z, kind="stable")[: params.top_k]
     probs = softmax_rows(z[order])
     cum = np.cumsum(probs)

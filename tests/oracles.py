@@ -6,7 +6,10 @@ purpose: these functions must not share code paths with the package.
 
 from __future__ import annotations
 
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -277,3 +280,107 @@ def finite_diff_grads(loss_fn, params: dict[str, np.ndarray], picks: list[tuple[
         arr.flat[idx] = orig
         out.append((lp - lm) / (2.0 * step))
     return out
+
+
+def sort_sample_next(logits, params, rng) -> int:
+    """Temperature, a stable sort of the whole row for top-k, then nucleus truncation and one draw."""
+    z = logits.astype(np.float64) / params.temperature
+    order = np.argsort(-z, kind="stable")[: params.top_k]
+    e = np.exp(z[order] - np.max(z[order]))
+    probs = e / e.sum()
+    cum = np.cumsum(probs)
+    cut = int(np.searchsorted(cum, params.top_p, side="left")) + 1
+    kept = probs[:cut] / probs[:cut].sum()
+    return int(order[np.searchsorted(np.cumsum(kept), rng.random(), side="right")])
+
+
+def loop_normalize_text(text: str) -> str:
+    """Lowercase, collapse whitespace, split terminal punctuation off: the regex runs on every text."""
+    t = " ".join(text.lower().split())
+    t = re.sub(r"\s*([.!?]+)$", r" \1", t)
+    return t.strip()
+
+
+def loop_build_graph(surface_triples, owner="?"):
+    """Per-triple walk: normalize each surface where it occurs, assign ids on first appearance."""
+    from kgdialog.corpus import Entity, KnowledgeGraph, RelationLabel, SchemaError, Triple
+
+    ent_ids: dict[str, int] = {}
+    rel_ids: dict[str, int] = {}
+    triples = []
+    seen = set()
+    for i, raw in enumerate(surface_triples):
+        if not isinstance(raw, (list, tuple)) or len(raw) != 3 or not all(isinstance(x, str) for x in raw):
+            raise SchemaError(f"dialogue {owner!r}: kg.triples[{i}] must be [subject, relation, object] strings")
+        ids = []
+        for surface, pos, table in ((raw[0], "subject", ent_ids), (raw[1], "relation", rel_ids),
+                                    (raw[2], "object", ent_ids)):
+            norm = loop_normalize_text(surface)
+            if not norm:
+                raise SchemaError(f"dialogue {owner!r}: empty {pos} surface in kg.triples[{i}]")
+            if norm not in table:
+                table[norm] = len(table)
+            ids.append(table[norm])
+        key = tuple(ids)
+        if key in seen:
+            raise SchemaError(f"dialogue {owner!r}: duplicate triple at kg.triples[{i}]")
+        seen.add(key)
+        triples.append(Triple(ids[0], ids[1], ids[2]))
+    return KnowledgeGraph(
+        entities=tuple(Entity(i, s) for s, i in ent_ids.items()),
+        relations=tuple(RelationLabel(i, s) for s, i in rel_ids.items()),
+        triples=tuple(triples),
+    )
+
+
+def loop_load_dataset(path, split):
+    """A dataset file read, checked and expanded dialogue by dialogue, with ``loop_build_graph`` per graph."""
+    from kgdialog.corpus import DatasetSplit, DialogueSample, DialogueTurn, SchemaError, ValidationError
+
+    try:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not UTF-8 text: {e}") from None
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(doc, dict) or not isinstance(doc.get("dialogues"), list):
+        raise SchemaError(f"{path}: top-level object must contain a 'dialogues' list")
+    samples = []
+    for index, raw in enumerate(doc["dialogues"]):
+        if not isinstance(raw, dict):
+            raise SchemaError(f"dialogues[{index}] is not an object")
+        did = raw.get("id")
+        if not isinstance(did, str) or not did:
+            raise SchemaError(f"dialogues[{index}]: missing or empty field 'id'")
+        if not isinstance(raw.get("domain"), str):
+            raise SchemaError(f"dialogue {did!r}: missing field 'domain'")
+        kg = raw.get("kg")
+        if not isinstance(kg, dict) or not isinstance(kg.get("triples"), list):
+            raise SchemaError(f"dialogue {did!r}: missing field 'kg.triples'")
+        if not isinstance(raw.get("turns"), list) or not raw["turns"]:
+            raise SchemaError(f"dialogue {did!r}: missing or empty field 'turns'")
+        graph = loop_build_graph(kg["triples"], owner=did)
+        turns = []
+        for j, t in enumerate(raw["turns"]):
+            if not isinstance(t, dict) or t.get("speaker") not in ("user", "system"):
+                raise SchemaError(f"dialogue {did!r}: turns[{j}] needs speaker 'user' or 'system'")
+            text = t.get("text", "")
+            if not isinstance(text, str):
+                raise SchemaError(f"dialogue {did!r}: turns[{j}] text must be a string")
+            if not loop_normalize_text(text):
+                raise SchemaError(f"dialogue {did!r}: turns[{j}] has empty text")
+            turns.append(DialogueTurn(t["speaker"], loop_normalize_text(text)))
+        for j, t in enumerate(turns):
+            want = "user" if j % 2 == 0 else "system"
+            if t.speaker != want:
+                raise ValidationError(
+                    f"dialogue {did!r}: turns[{j}] breaks user/system alternation (got {t.speaker!r})"
+                )
+        if turns[-1].speaker != "system":
+            raise ValidationError(f"dialogue {did!r}: final turn must be a system turn")
+        for k in range(len(turns) // 2):
+            samples.append(DialogueSample(
+                id=f"{did}#{k}", domain=raw["domain"], graph=graph, history=tuple(turns[: 2 * k]),
+                question=turns[2 * k].text, gold_response=turns[2 * k + 1].text,
+            ))
+    return DatasetSplit(split, tuple(samples))

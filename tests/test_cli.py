@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import re
+import shutil
 
 import pytest
 
@@ -363,8 +364,6 @@ class TestBadInput:
         ("temperature", "0.5", "'temperature' must be a number, not \"0.5\""),
     ])
     def test_wrong_typed_checkpoint_run_config(self, data_dir, run_dir, tmp_path, capsys, key, value, message):
-        import shutil
-
         state, header = load_checkpoint(run_dir / "model.ckpt")
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, state, header["vocab_sha256"], {**header["run_config"], key: value})
@@ -501,6 +500,73 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert ("error: ablation 'seq2seq' sets use_entity_emb, use_triple_emb, use_type_emb, "
                 "which chat does not take") in captured.err
+        assert "chat ready" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("text", 5, "turns[0] text must be a string"),
+        ("text", None, "turns[0] text must be a string"),
+        ("triple", "abc", "kg.triples[0] must be [subject, relation, object] strings"),
+        ("triple", 5, "kg.triples[0] must be [subject, relation, object] strings"),
+        ("triple", {"s": 1, "r": 2, "o": 3}, "kg.triples[0] must be [subject, relation, object] strings"),
+        ("triple", ["", "r", "o"], "empty subject surface in kg.triples[0]"),
+    ])
+    def test_malformed_dataset(self, data_dir, tmp_path, capsys, field, value, message):
+        data = tmp_path / "d"
+        shutil.copytree(data_dir, data)
+        doc = json.loads((data / "train.json").read_text())
+        dialogue = doc["dialogues"][0]
+        if field == "text":
+            dialogue["turns"][0]["text"] = value
+        else:
+            dialogue["kg"]["triples"][0] = value
+        (data / "train.json").write_text(json.dumps(doc))
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "o"), "--quiet", "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: dialogue {dialogue['id']!r}: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_dataset_not_utf8(self, data_dir, tmp_path, capsys):
+        data = tmp_path / "d"
+        shutil.copytree(data_dir, data)
+        (data / "valid.json").write_bytes((data / "valid.json").read_bytes().replace(b"user", b"us\xe9r", 1))
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "o"), "--quiet", "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {data / 'valid.json'}: not UTF-8 text: " in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"lr": 1e-3} \xff', "not UTF-8 text"),
+        (b'{"lr": ', "invalid JSON"),
+    ])
+    def test_unreadable_config_file(self, data_dir, tmp_path, capsys, content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--quiet", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: {message}: " in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"triples": ["abc"]}', "'{kg}': kg.triples[0] must be [subject, relation, object] strings"),
+        (b'{"triples": [5]}', "'{kg}': kg.triples[0] must be [subject, relation, object] strings"),
+        (b'{"triples": [{"s": 1, "r": 2, "o": 3}]}',
+         "'{kg}': kg.triples[0] must be [subject, relation, object] strings"),
+        (b'{"triples": [["s", "r", " "]]}', "'{kg}': empty object surface in kg.triples[0]"),
+        (b'{"triples": 5}', "{kg}: expected an object with a 'triples' list"),
+        (b'{"triples": [["caf\xe9", "r", "o"]]}', "{kg}: not UTF-8 text: "),
+        (b'{"triples": [', "{kg}: invalid JSON: "),
+    ])
+    def test_malformed_kg_file(self, run_dir, tmp_path, monkeypatch, capsys, content, message):
+        kg = tmp_path / "kg.json"
+        kg.write_bytes(content)
+        monkeypatch.setattr("sys.stdin", io.StringIO("how far ?\n"))
+        rc = main(["chat", "--ckpt", str(run_dir / "model.ckpt"), "--kg", str(kg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message.format(kg=kg) in captured.err and "Traceback" not in captured.err
         assert "chat ready" not in captured.err and captured.out == ""
 
     def test_heads_not_dividing_width(self, data_dir, tmp_path, capsys):

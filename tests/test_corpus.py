@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgdialog.corpus import (
     SchemaError,
@@ -12,6 +16,7 @@ from kgdialog.corpus import (
     load_dataset,
     normalize_text,
 )
+from oracles import loop_build_graph, loop_load_dataset, loop_normalize_text
 
 
 def write_dataset(tmp_path, dialogues, name="train.json"):
@@ -49,6 +54,16 @@ class TestNormalize:
         once = normalize_text("Find me The Quickest route?")
         assert normalize_text(once) == once
 
+    @given(st.text(alphabet=st.sampled_from(list("aBcZé İ\t\n\r\x0b\x1c\u00a0\u2003\u3000.!?,")) | st.characters(),
+                   max_size=24))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop_oracle(self, text):
+        assert normalize_text(text) == loop_normalize_text(text)
+
+    @pytest.mark.parametrize("text", ["", " \t\n", "?!", " ... ", "a...", "Why?! ", "x . y", "\u00a0?\u3000"])
+    def test_matches_loop_oracle_on_punctuation(self, text):
+        assert normalize_text(text) == loop_normalize_text(text)
+
 
 class TestLoad:
     def test_minimal_file(self, tmp_path):
@@ -81,6 +96,34 @@ class TestLoad:
         bad["kg"]["triples"].append(["starbucks", "distance", "4 miles"])  # duplicate
         path = write_dataset(tmp_path, [bad])
         with pytest.raises(SchemaError, match="bad-one"):
+            load_dataset(path, "train")
+
+    @pytest.mark.parametrize("turn_text, triple, message", [
+        (5, None, "dialogue 'd1': turns[0] text must be a string"),
+        (None, None, "dialogue 'd1': turns[0] text must be a string"),
+        ("", None, "dialogue 'd1': turns[0] has empty text"),
+        ("hi", "abc", "dialogue 'd1': kg.triples[2] must be [subject, relation, object] strings"),
+        ("hi", 5, "dialogue 'd1': kg.triples[2] must be [subject, relation, object] strings"),
+        ("hi", {"s": 1, "r": 2, "o": 3}, "dialogue 'd1': kg.triples[2] must be [subject, relation, object] strings"),
+        ("hi", ["a", "r", 3], "dialogue 'd1': kg.triples[2] must be [subject, relation, object] strings"),
+        ("hi", [" ", "r", "o"], "dialogue 'd1': empty subject surface in kg.triples[2]"),
+        ("hi", ["s", "\t", "o"], "dialogue 'd1': empty relation surface in kg.triples[2]"),
+        ("hi", ["s", "r", ""], "dialogue 'd1': empty object surface in kg.triples[2]"),
+    ])
+    def test_malformed_field_named(self, tmp_path, turn_text, triple, message):
+        d = minimal_dialogue()
+        d["turns"][0]["text"] = turn_text
+        if triple is not None:
+            d["kg"]["triples"].append(triple)
+        path = write_dataset(tmp_path, [d])
+        with pytest.raises(SchemaError) as e:
+            load_dataset(path, "train")
+        assert str(e.value) == message
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "train.json"
+        path.write_bytes(json.dumps({"dialogues": [minimal_dialogue()]}).encode("utf-8").replace(b"miles", b"mil\xe9s"))
+        with pytest.raises(SchemaError, match=f"^{path}: not UTF-8 text: "):
             load_dataset(path, "train")
 
     def test_dialogue_count_preserved(self, tmp_path):
@@ -117,6 +160,74 @@ class TestGraph:
         assert [g_ent for g_ent, _ in groups] == [0, 2]  # s1 then s2, first appearance
         assert groups[0][1] == [0, 2]
         assert groups[1][1] == [1]
+
+
+# Raw surfaces that repeat across dialogues in several casings and spacings.
+_SURFACE = st.sampled_from(["Starbucks", "starbucks ", " STAR  bucks", "4 miles", "4\tMiles!", "where?",
+                            "a ...", "Dist", "dist", "?", "Gas\u00a0Station", "gas station"])
+# At most one fault per dialogue, in about a quarter of them: a triple of the
+# wrong shape, a surface or turn text that is empty or not a string, or turns
+# out of order.
+_BAD_TRIPLES = ["abc", 5, None, {"s": "a", "r": "b", "o": "c"}, ["a", "b"], ["a", "b", 3],
+                ["", "r", "o"], ["s", " \n", "o"], ["s", "r", "\t"]]
+_FAULTS = ([("triple", t) for t in _BAD_TRIPLES] + [("text", t) for t in (5, None, "", " . ")]
+           + [("speaker", "system"), ("drop", None)])
+
+
+@st.composite
+def _dialogue(draw, did):
+    n_exchanges = draw(st.integers(1, 3))
+    turns = [{"speaker": "user" if j % 2 == 0 else "system", "text": draw(_SURFACE)} for j in range(2 * n_exchanges)]
+    triples = draw(st.lists(st.lists(_SURFACE, min_size=3, max_size=3), max_size=6))
+    fault = draw(st.integers(0, 4 * len(_FAULTS))) - len(_FAULTS)  # the bounds, which hypothesis favours, are clean
+    if 0 <= fault < len(_FAULTS):
+        kind, value = _FAULTS[fault]
+        if kind == "triple":
+            triples.insert(draw(st.integers(0, len(triples))), value)
+        elif kind == "drop":
+            turns.pop()
+        else:
+            turns[draw(st.integers(0, len(turns) - 1))][kind] = value
+    return {"id": did, "domain": "navigation", "kg": {"triples": triples}, "turns": turns}
+
+
+def _load_or_error(loader, path):
+    try:
+        return loader(path, "test")
+    except (SchemaError, ValidationError) as e:
+        return type(e), str(e)
+
+
+class TestLoadMatchesLoopOracle:
+    @given(st.lists(st.integers(0, 3), max_size=4).flatmap(
+        lambda ids: st.tuples(*[_dialogue(f"d{i}") for i in ids])), st.integers(0, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_random_files(self, dialogues, bad_byte):
+        raw = json.dumps({"dialogues": list(dialogues)}, ensure_ascii=False).encode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "test.json"
+            path.write_bytes(raw[:-1] + b"\xff}" if bad_byte == 5 else raw)
+            got, want = _load_or_error(load_dataset, path), _load_or_error(loop_load_dataset, path)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    def test_synthetic_corpus(self, tmp_path):
+        from kgdialog.corpus import SynthConfig, synthetic_dialogues
+
+        path = write_dataset(tmp_path, synthetic_dialogues(SynthConfig(n_dialogues=60, seed=4)))
+        got = load_dataset(path, "test")
+        assert got == loop_load_dataset(path, "test") and len(got) > 60
+
+    @given(st.lists(st.one_of(st.lists(_SURFACE, min_size=3, max_size=3), st.sampled_from(_BAD_TRIPLES)), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_build_graph(self, triples):
+        def build(fn):
+            try:
+                return fn(triples, owner="kg.json")
+            except SchemaError as e:
+                return str(e)
+
+        assert build(build_graph) == build(loop_build_graph)
 
 
 class TestLexicon:

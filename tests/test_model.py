@@ -40,7 +40,7 @@ from kgdialog.model import (
 from kgdialog.sequence import TYPE_SYSTEM, AssemblyLimits, assemble_input, linearize_graph
 from test_sequence import vocab_over
 
-from oracles import add_at_scatter, finite_diff_grads, naive_attention, naive_response_nll
+from oracles import add_at_scatter, finite_diff_grads, naive_attention, naive_response_nll, sort_sample_next
 
 GRAPH = build_graph([["s1", "r1", "o1"], ["s1", "r2", "o2"], ["s2", "r1", "o3"]])
 VOCAB = vocab_over("s1 s2 r1 r2 o1 o2 o3 what is the of ? answer it")
@@ -440,6 +440,30 @@ class TestSampling:
         for seed in range(5):
             got = sample_next(logits, dataclasses.replace(params, seed=seed), np.random.default_rng(seed))
             assert got == int(np.argmax(logits))
+
+    @pytest.mark.parametrize("logits", [
+        [0.5, -1.0, 2.0, 1.5],
+        [1.0, 3.0, 3.0, 2.0],
+        [0.0, 0.0, 0.0],
+        [-np.inf, 0.0, -np.inf],
+        [-np.inf, -np.inf],
+        [np.inf, 1.0, np.inf],
+    ])
+    def test_greedy_matches_sorted_draw(self, logits):
+        logits = np.array(logits, dtype=np.float32)
+        for temperature in (0.5, 1.0):
+            params = DecodingParams(top_k=1, temperature=temperature, top_p=0.3, seed=0)
+            with np.errstate(invalid="ignore"):
+                want = sort_sample_next(logits, params, np.random.default_rng(0))
+            assert sample_next(logits, params, np.random.default_rng(0)) == want
+
+    def test_sampled_matches_sorted_draw(self, rng):
+        for seed in range(20):
+            logits = rng.normal(size=30).astype(np.float32)
+            logits[[3, 17]] = logits.max()  # a tie at the top
+            params = DecodingParams(top_k=5, temperature=0.8, top_p=0.9, seed=seed)
+            want = sort_sample_next(logits, params, np.random.default_rng(seed))
+            assert sample_next(logits, params, np.random.default_rng(seed)) == want
 
     def test_tiny_temperature_is_greedy(self, rng):
         logits = rng.normal(size=20)
