@@ -86,16 +86,6 @@ class KnowledgeGraph:
             self.entities[t.object].surface,
         )
 
-    def subject_groups(self) -> list[tuple[int, list[int]]]:
-        """Triples grouped by subject entity, in first-appearance order.
-
-        Returns ``[(subject_entity_id, [triple indices in file order]), ...]``.
-        """
-        groups: dict[int, list[int]] = {}
-        for i, t in enumerate(self.triples):
-            groups.setdefault(t.subject, []).append(i)
-        return list(groups.items())
-
 
 class _Surfaces(dict):
     """Raw surface -> normalized surface, computed on first lookup.

@@ -11,8 +11,8 @@ boundaries, edges and node-surface codes. A request then only maps the
 strings to ids, cuts the stream at the knowledge budget and copies the kept
 part. The index holds nothing of a vocabulary or an embedding table, so it
 is valid for every request on the graph. One walk over subject groups
-(``_emit``) emits every stream: the index's, and each shuffled order that
-training asks for, coded by the index's strings.
+(``_emit``) emits every stream: the index's, and each shuffled one that
+training asks for with its RNG, coded by the index's strings.
 """
 
 from __future__ import annotations
@@ -129,9 +129,6 @@ def vocab_sha256(vocab: Vocabulary) -> str:
 
 # --- graph index and linearization -------------------------------------------
 
-GraphOrder = list[list[int]]  # groups in emission order; each inner list holds original triple indices
-
-
 @dataclass(frozen=True, eq=False)
 class KnowledgeStream:
     """Linearized graph: token codes plus per-token entity/triple annotations.
@@ -166,7 +163,7 @@ class GraphIndex:
     Built once per ``KnowledgeGraph`` object on first use (``graph_index``)
     and kept on it. Token strings are held once, in ``stream.strings``; the
     stream and the node surfaces refer to them by code. The stream is the
-    identity order's only; another order is walked anew. Nothing here depends
+    identity order's only; a shuffled one is walked anew. Nothing here depends
     on a vocabulary or an embedding table, so the index stays valid across
     models, vocabularies and training steps: a request maps the strings to
     ids and the ids to embedding rows itself.
@@ -200,19 +197,25 @@ def _encode(code_of: dict[str, int], text: str) -> list[int]:
     return [code_of.setdefault(sys.intern(w), len(code_of)) for w in text.split()]
 
 
-def _emit(graph: KnowledgeGraph, order: GraphOrder, code_of: dict[str, int]
-          ) -> tuple[list[int], list[bool], list[int], list[int], list[list[int] | None]]:
-    """Walk ``order`` to ``[BOS] ([S] subj ([R] rel [O] obj)+)*`` as codes from ``code_of``.
+def _subject_groups(graph: KnowledgeGraph) -> list[list[int]]:
+    """Triple indices grouped by subject: groups in first-appearance order, each in file order."""
+    groups: dict[int, list[int]] = {}
+    for i, t in enumerate(graph.triples):
+        groups.setdefault(t.subject, []).append(i)
+    return list(groups.values())
 
-    Returns the codes, one head flag and one length per segment (a subject
-    header or a triple) in emission order, the emitted triples' graph
-    indices, and each node surface's codes (None for a node not emitted).
-    Raises ``ValueError`` unless ``order`` is a list of nonempty
-    single-subject groups that names every triple exactly once.
+
+def _emit(graph: KnowledgeGraph, groups: list[list[int]], code_of: dict[str, int]
+          ) -> tuple[list[int], list[bool], list[int], list[int], list[list[int] | None]]:
+    """Walk ``groups`` to ``[BOS] ([S] subj ([R] rel [O] obj)+)*`` as codes from ``code_of``.
+
+    ``groups`` is a permutation of ``_subject_groups(graph)``, each group
+    permuted in turn. Returns the codes, one head flag and one length per
+    segment (a subject header or a triple) in emission order, the emitted
+    triples' graph indices, and each node surface's codes (None for a node
+    not emitted).
     """
     triples = graph.triples
-    if sorted(t for group in order for t in group) != list(range(len(triples))):
-        raise ValueError("order must cover every triple exactly once")
     bos, s_tok, r_tok, o_tok = _encode(code_of, " ".join((BOS, S_TOK, R_TOK, O_TOK)))
     ne = graph.n_entities
     surface_codes: list[list[int] | None] = [None] * (ne + graph.n_relations)  # encoded on first use
@@ -224,9 +227,7 @@ def _emit(graph: KnowledgeGraph, order: GraphOrder, code_of: dict[str, int]
         return c
 
     codes, is_head, lengths, sources = [bos], [], [], []
-    for group in order:
-        if not group:
-            raise ValueError("order contains an empty subject group")
+    for group in groups:
         subject = triples[group[0]].subject
         start = len(codes)
         codes.append(s_tok)
@@ -235,8 +236,6 @@ def _emit(graph: KnowledgeGraph, order: GraphOrder, code_of: dict[str, int]
         is_head.append(True)
         for t in group:
             triple = triples[t]
-            if triple.subject != subject:
-                raise ValueError("order group mixes triples of different subjects")
             start = len(codes)
             codes.append(r_tok)
             codes += node(ne + triple.relation, graph.relations[triple.relation].surface)
@@ -270,7 +269,7 @@ def _segmented_stream(strings: tuple[str, ...], codes: list[int], is_head: list[
 
 def _build_index(graph: KnowledgeGraph) -> GraphIndex:
     code_of: dict[str, int] = {}
-    codes, is_head, lengths, sources, surface_codes = _emit(graph, identity_order(graph), code_of)
+    codes, is_head, lengths, sources, surface_codes = _emit(graph, _subject_groups(graph), code_of)
     ne, nr = graph.n_entities, graph.n_relations
     for i, surface in enumerate([e.surface for e in graph.entities] + [r.surface for r in graph.relations]):
         if surface_codes[i] is None:  # a node no triple names
@@ -327,33 +326,24 @@ def graph_index(graph: KnowledgeGraph) -> GraphIndex:
     return index
 
 
-def identity_order(graph: KnowledgeGraph) -> GraphOrder:
-    return [members for _, members in graph.subject_groups()]
+def linearize_graph(graph: KnowledgeGraph, rng: np.random.Generator | None = None) -> KnowledgeStream:
+    """Flatten a graph to ``[BOS] ([S] subj ([R] rel [O] obj)+)*``.
 
-
-def shuffled_order(graph: KnowledgeGraph, rng: np.random.Generator) -> GraphOrder:
-    groups = identity_order(graph)
+    With no ``rng`` subject groups come in first-appearance order and each
+    group's triples in file order: the stream the graph's index holds. With
+    an ``rng`` the groups are shuffled, then each group's triples, and the
+    result is walked as the index's own stream was, with codes into the
+    index's strings.
+    """
+    index = graph_index(graph)
+    if rng is None:
+        return index.stream
+    groups = _subject_groups(graph)
     rng.shuffle(groups)
     for g in groups:
         rng.shuffle(g)
-    return groups
-
-
-def linearize_graph(graph: KnowledgeGraph, order: GraphOrder | None = None) -> KnowledgeStream:
-    """Flatten a graph to ``[BOS] ([S] subj ([R] rel [O] obj)+)*``.
-
-    ``order`` permutes subject groups and the triples within each group;
-    the default is first-appearance order, whose stream the graph's index
-    holds. Any other order is walked group by group, as the index's own
-    stream was, with codes into the index's strings. Raises ``ValueError``
-    for an order with an empty group, a group of mixed subjects, or one
-    that does not name every triple exactly once.
-    """
-    index = graph_index(graph)
-    if order is None:
-        return index.stream
     strings = index.stream.strings
-    codes, is_head, lengths, sources, _ = _emit(graph, order, dict(zip(strings, range(len(strings)))))
+    codes, is_head, lengths, sources, _ = _emit(graph, groups, dict(zip(strings, range(len(strings)))))
     return _segmented_stream(strings, codes, is_head, lengths, sources)
 
 

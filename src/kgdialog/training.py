@@ -33,8 +33,9 @@ from .sequence import (
     Vocabulary,
     assemble_input,
     linearize_graph,
-    shuffled_order,
 )
+
+_BETA1 = 0.9  # Adam's first-moment decay
 
 
 class TrainingDiverged(RuntimeError):
@@ -46,7 +47,6 @@ class TrainConfig:
     lr: float = 6.25e-5
     adam_epsilon: float = 1e-8
     weight_decay: float = 0.01
-    beta1: float = 0.9
     beta2: float = 0.999
     batch_size: int = 4
     grad_accum_steps: int = 4
@@ -87,14 +87,14 @@ def adamw_step(state: ModelState, grads: dict[str, np.ndarray], cfg: TrainConfig
     lr = cfg.lr
     if cfg.warmup_steps > 0 and t <= cfg.warmup_steps:
         lr = cfg.lr * t / cfg.warmup_steps
-    c1 = 1.0 - cfg.beta1**t
+    c1 = 1.0 - _BETA1**t
     c2 = 1.0 - cfg.beta2**t
     for name, p in state.params.items():
         g = grads[name]
         m = state.opt_m[name]
         v = state.opt_v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
         v *= cfg.beta2
         v += (1.0 - cfg.beta2) * g * g
         update = (m / c1) / (np.sqrt(v / c2) + cfg.adam_epsilon)
@@ -131,16 +131,18 @@ def build_sample_inputs(
     k_relation: int,
     use_kg_mask: bool,
     limits: AssemblyLimits,
-    order=None,
+    rng: np.random.Generator | None = None,
     with_gold: bool = True,
 ) -> tuple[InputSequence, np.ndarray]:
     """Assemble one sample and its knowledge key-column mask values.
 
+    ``rng`` shuffles the sample's subject groups and triples, as
+    ``linearize_graph`` does; without it they come in file order.
     Raises ``SequenceTooLongError`` if the assembled sequence is longer than
     ``limits.context_limit`` or its ids do not fit the model's tables.
     """
     seq = assemble_input(
-        linearize_graph(sample.graph, order),
+        linearize_graph(sample.graph, rng),
         sample.history,
         sample.question,
         sample.gold_response if with_gold else None,
@@ -211,7 +213,12 @@ def train(
     cfg: TrainConfig,
     verbose: bool = False,
 ) -> tuple[ModelState, list[dict]]:
-    """Train from scratch; returns the best-validation state and history rows."""
+    """Train from scratch; returns the best-validation state and history rows.
+
+    Raises ``TrainingDiverged`` when a loss or a forward pass turns
+    non-finite. Without a validation split the last state is checked by one
+    eval-mode pass over the training split.
+    """
     state = init_model(model_cfg, cfg.seed)
     samples = train_split.samples
     if not samples:
@@ -233,16 +240,11 @@ def train(
 
         for start in range(0, len(order), cfg.batch_size):
             idxs = order[start : start + cfg.batch_size]
-            pairs = []
-            for j in idxs:
-                s = samples[j]
-                perm_rng = np.random.default_rng([cfg.seed, epoch, sample_ints[j]])
-                perm = shuffled_order(s.graph, perm_rng)
-                pairs.append(
-                    build_sample_inputs(
-                        s, vocab, state, cfg.k_entity, cfg.k_relation, cfg.use_kg_mask, cfg.limits, order=perm
-                    )
-                )
+            pairs = [
+                build_sample_inputs(samples[j], vocab, state, cfg.k_entity, cfg.k_relation, cfg.use_kg_mask,
+                                    cfg.limits, rng=np.random.default_rng([cfg.seed, epoch, sample_ints[j]]))
+                for j in idxs
+            ]
             batch = _make_batch(pairs)
             rows_assembled += sum(seq.n for seq, _ in pairs)
             rows_computed += int(batch.lengths.sum())
@@ -293,6 +295,14 @@ def train(
 
     if best_params is not None:
         state.params = best_params
+    elif history:  # no validation loss picked a state: check the last one on the training split
+        where = f"after epoch {history[-1]['epoch']}, found in a final pass over the training split"
+        try:
+            final_loss = dataset_loss(train_split, vocab, state, cfg)
+        except FloatingPointError as e:
+            raise TrainingDiverged(f"{e} {where}") from e
+        if not np.isfinite(final_loss):
+            raise TrainingDiverged(f"non-finite loss {where}")
     return state, history
 
 

@@ -117,18 +117,36 @@ def naive_knowledge_columns(triples, triple_sources, triple_ids, entity_ids, kno
     return cols
 
 
+def subject_groups(graph):
+    """Triple indices grouped by subject: groups in first-appearance order, each in file order."""
+    subjects, groups = [], []
+    for i, t in enumerate(graph.triples):
+        if t.subject not in subjects:
+            subjects.append(t.subject)
+            groups.append([])
+        groups[subjects.index(t.subject)].append(i)
+    return groups
+
+
+def shuffled_groups(graph, rng):
+    """The subject groups as training walks them: ``rng`` shuffles the
+    groups, then each group's triples in turn."""
+    groups = subject_groups(graph)
+    rng.shuffle(groups)
+    for g in groups:
+        rng.shuffle(g)
+    return groups
+
+
 def loop_linearize(graph, order=None):
     """Token-by-token walk of ``[BOS] ([S] subj ([R] rel [O] obj)+)*``.
 
     ``order`` lists subject groups of triple indices in emission order; the
-    default groups triples by subject in first-appearance order. Returns
-    (tokens, entity_ids, triple_ids, triple_sources) as lists.
+    default is ``subject_groups(graph)``. Returns (tokens, entity_ids,
+    triple_ids, triple_sources) as lists.
     """
     if order is None:
-        groups: dict[int, list[int]] = {}
-        for i, t in enumerate(graph.triples):
-            groups.setdefault(t.subject, []).append(i)
-        order = list(groups.values())
+        order = subject_groups(graph)
     tokens, ent, tri, sources = ["[BOS]"], [0], [0], []
     for gi, group in enumerate(order, start=1):
         subj_toks = graph.entities[graph.triples[group[0]].subject].surface.split()

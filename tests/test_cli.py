@@ -437,13 +437,37 @@ class TestBadInput:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "o").exists()
 
-    def test_overflowing_checkpoint_refused_by_eval_and_chat(self, tmp_path, monkeypatch, capsys, recwarn):
-        # with no valid split nothing checks the diverged weights: training ends with finite but huge ones
+    def test_diverged_run_without_valid_split(self, tmp_path, capsys, recwarn):
+        # one optimizer step leaves finite but huge weights; with no valid split the final pass finds them
         data, run = tmp_path / "d", tmp_path / "run"
         assert main(["synth", "--out", str(data), "--n", "5", "--subjects", "2", "--relations", "2"]) == 0
-        assert main(["train", "--data", str(data), "--out", str(run), "--quiet", "--epochs", "1",
-                     "--d-model", "32", "--n-heads", "2", "--n-layers", "1", "--d-ff", "64",
-                     "--lr", "1e9", "--grad-accum-steps", "1", "--batch-size", "64"]) == 0
+        assert json.loads((data / "valid.json").read_text())["dialogues"] == []
+        rc = main(["train", "--data", str(data), "--out", str(run), "--quiet", "--epochs", "1",
+                   "--d-model", "32", "--n-heads", "2", "--n-layers", "1", "--d-ff", "64",
+                   "--lr", "1e9", "--grad-accum-steps", "1", "--batch-size", "64"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("error: training diverged:") == 1 and "Traceback" not in err
+        assert "found in a final pass over the training split" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not run.exists()
+
+    def test_overflowing_checkpoint_refused_by_eval_and_chat(self, tmp_path, monkeypatch, capsys, recwarn):
+        from kgdialog.corpus import load_dataset
+        from kgdialog.model import init_model
+        from kgdialog.sequence import build_vocab, save_vocab, vocab_sha256
+
+        # finite weights whose forward pass overflows (init weights times 1e9 still give finite logits)
+        data, run = tmp_path / "d", tmp_path / "run"
+        assert main(["synth", "--out", str(data), "--n", "5", "--subjects", "2", "--relations", "2"]) == 0
+        vocab = build_vocab([load_dataset(data / "train.json", "train")])
+        cfg = RunConfig(d_model=32, n_heads=2, n_layers=1, d_ff=64)
+        state = init_model(cfg.model_config(len(vocab)), seed=0)
+        for p in state.params.values():
+            p *= 1e10
+        run.mkdir()
+        save_checkpoint(run / "model.ckpt", state, vocab_sha256(vocab), dataclasses.asdict(cfg))
+        save_vocab(vocab, run / "vocab.txt")
         capsys.readouterr()
         rc = main(["eval", "--ckpt", str(run / "model.ckpt"), "--data", str(data), "--report", str(tmp_path / "r.json")])
         assert rc == 2

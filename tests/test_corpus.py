@@ -154,13 +154,6 @@ class TestGraph:
         assert [e.surface for e in g.entities] == ["b", "c", "a"]
         assert [r.surface for r in g.relations] == ["r"]
 
-    def test_subject_groups(self):
-        g = build_graph([["s1", "r1", "o1"], ["s2", "r1", "o2"], ["s1", "r2", "o3"]])
-        groups = g.subject_groups()
-        assert [g_ent for g_ent, _ in groups] == [0, 2]  # s1 then s2, first appearance
-        assert groups[0][1] == [0, 2]
-        assert groups[1][1] == [1]
-
 
 # Raw surfaces that repeat across dialogues in several casings and spacings.
 _SURFACE = st.sampled_from(["Starbucks", "starbucks ", " STAR  bucks", "4 miles", "4\tMiles!", "where?",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgdialog.corpus import DialogueTurn, SynthConfig, build_graph, generate_synthetic
@@ -14,11 +14,9 @@ from kgdialog.sequence import (
     TYPE_USER,
     assemble_input,
     build_vocab,
-    identity_order,
     linearize_graph,
     load_vocab,
     save_vocab,
-    shuffled_order,
     vocab_sha256,
 )
 
@@ -35,6 +33,17 @@ def vocab_over(*texts):
     words = sorted({t for text in texts for t in text.split()})
     tokens = SPECIAL_TOKENS + tuple(words)
     return Vocabulary(tokens, {t: i for i, t in enumerate(tokens)})
+
+
+# Graphs whose subject groups a shuffle must keep whole: the cases the walk once refused orders for
+SHUFFLE_GRAPHS = {
+    "empty": [],
+    "one_triple": [["a", "r", "b"]],
+    "one_subject": [["a", "r1", "b"], ["a", "r2", "c"], ["a", "r1", "d"]],
+    "interleaved_subjects": [["a", "r", "b"], ["c", "r", "d"], ["a", "q", "e"], ["c", "q", "a"]],
+    "object_is_a_subject": [["a", "r", "b"], ["b", "r", "c"], ["c", "r", "a"]],
+    "multiword_surfaces": [["a b", "r s", "c d"], ["e", "r s", "a b"], ["a b", "t", "f g h"]],
+}
 
 
 class TestVocab:
@@ -112,31 +121,69 @@ class TestLinearize:
             [["s1", "r1", "o1"], ["s1", "r2", "o2"], ["s2", "r1", "o3"], ["s2", "r2", "o4"]]
         )
 
-        def decoded(order):
-            stream = linearize_graph(g, order)
+        def decoded(rng=None):
+            stream = linearize_graph(g, rng)
             return sorted(g.triple_surfaces(i) for i in stream.triple_sources)
 
-        base = decoded(identity_order(g))
+        base = decoded()
         for _ in range(5):
-            assert decoded(shuffled_order(g, rng)) == base
+            assert decoded(rng) == base
 
-    @pytest.mark.parametrize("order, message", [
-        ([[0, 1], [], [2, 3]], "empty subject group"),
-        ([[0, 2], [1, 3]], "mixes triples of different subjects"),
-        ([[0, 1, 1], [2, 3]], "every triple exactly once"),  # duplicate
-        ([[0, 1], [2]], "every triple exactly once"),  # missing
-        ([[0, 1], [2, 4]], "every triple exactly once"),  # index past the last triple
-        ([[0, 1], [2, -1]], "every triple exactly once"),  # negative: must not wrap to the last triple
-    ])
-    def test_bad_order_refused(self, order, message):
+    def test_file_order_groups_by_first_appearance(self):
+        g = build_graph([["s1", "r1", "o1"], ["s2", "r1", "o2"], ["s1", "r2", "o3"]])
+        stream = linearize_graph(g)
+        assert stream.triple_sources == (0, 2, 1)  # s1's triples in file order, then s2's
+        assert [t for t in stream.tokens if t in ("s1", "s2")] == ["s1", "s2"]
+
+    def test_same_seed_same_stream(self):
         g = build_graph([["s1", "r1", "o1"], ["s1", "r2", "o2"], ["s2", "r1", "o3"], ["s2", "r2", "o4"]])
-        with pytest.raises(ValueError, match=message):
-            linearize_graph(g, order)
+        a = linearize_graph(g, np.random.default_rng(7))
+        b = linearize_graph(g, np.random.default_rng(7))
+        assert a.tokens == b.tokens and a.triple_sources == b.triple_sources
+        file_order = linearize_graph(g).triple_sources
+        assert any(linearize_graph(g, np.random.default_rng(s)).triple_sources != file_order for s in range(10))
+
+    def test_shuffle_leaves_the_index_stream(self):
+        g = build_graph([["s1", "r1", "o1"], ["s1", "r2", "o2"], ["s2", "r1", "o3"]])
+        index_stream = linearize_graph(g)
+        tokens = index_stream.tokens
+        for seed in range(5):
+            shuffled = linearize_graph(g, np.random.default_rng(seed))
+            assert shuffled is not index_stream and shuffled.strings is index_stream.strings
+        assert linearize_graph(g) is index_stream and index_stream.tokens == tokens
+
+    @pytest.mark.parametrize("triples", SHUFFLE_GRAPHS.values(), ids=SHUFFLE_GRAPHS.keys())
+    def test_shuffled_stream_is_well_formed(self, triples):
+        # every triple once, under a header of its own subject, and no header without a triple
+        g = build_graph(triples)
+        for seed in range(8):
+            stream = linearize_graph(g, np.random.default_rng(seed))
+            tokens, ent, tri = stream.tokens, stream.entity_ids.tolist(), stream.triple_ids.tolist()
+            assert tokens[0] == "[BOS]" and ent[0] == tri[0] == 0
+            assert sorted(stream.triple_sources) == list(range(len(g.triples)))
+            group_of = [ent[start] for start in stream.triple_starts.tolist()]
+            subjects = [g.triples[src].subject for src in stream.triple_sources]
+            # groups run 1, 2, ... in emission order; a group holds one subject and a subject one group
+            assert group_of == sorted(group_of)
+            assert sorted(set(group_of)) == list(range(1, len(set(subjects)) + 1))
+            assert len(set(zip(group_of, subjects))) == len(set(subjects))
+            covered = 1  # [BOS]
+            for gid, subject in set(zip(group_of, subjects)):
+                header = [tokens[p] for p in range(len(tokens)) if ent[p] == gid and tri[p] == 0]
+                assert header == ["[S]", *g.entities[subject].surface.split()]
+                covered += len(header)
+            for t, src in enumerate(stream.triple_sources):
+                start, end = int(stream.triple_starts[t]), int(stream.triple_ends[t])
+                _, rel, obj = g.triple_surfaces(src)
+                assert list(tokens[start:end]) == ["[R]", *rel.split(), "[O]", *obj.split()]
+                assert set(tri[start:end]) == {t + 1}
+                covered += end - start
+            assert covered == len(tokens)  # nothing but [BOS], headers and triple spans
 
 
-def assemble(sample, vocab, limits, order=None, gold=True):
+def assemble(sample, vocab, limits, rng=None, gold=True):
     return assemble_input(
-        linearize_graph(sample.graph, order), sample.history, sample.question,
+        linearize_graph(sample.graph, rng), sample.history, sample.question,
         sample.gold_response if gold else None, vocab, limits, sample.id,
     )
 
@@ -246,7 +293,7 @@ class TestAssemble:
         s = tiny_split.samples[0]
         rng = np.random.default_rng(seed)
         seq_a = assemble(s, tiny_vocab, limits)
-        seq_b = assemble(s, tiny_vocab, limits, order=shuffled_order(s.graph, rng))
+        seq_b = assemble(s, tiny_vocab, limits, rng=rng)
         def multiset(seq):
             return sorted(s.graph.triple_surfaces(src) for src in seq.triple_sources)
         assert multiset(seq_a) == multiset(seq_b)
@@ -305,17 +352,37 @@ def seq_fields(seq):
     }
 
 
+EMPTY_GRAPH = build_graph([])
+ONE_TRIPLE = build_graph([["alpha beta", "gamma", "delta"]])
+ONE_SUBJECT = build_graph([["alpha", "beta", "gamma"], ["alpha", "delta eps", "zeta"], ["alpha", "beta", "theta"]])
+
+
+def rng_pair(shuffle, seed):
+    """Two equal RNGs, one for the package and one for the oracle's ``shuffled_groups``; (None, None) for file order."""
+    return (np.random.default_rng(seed), np.random.default_rng(seed)) if shuffle else (None, None)
+
+
+def oracle_order(graph, rng):
+    from oracles import shuffled_groups
+
+    return None if rng is None else shuffled_groups(graph, rng)
+
+
 class TestIndexMatchesLoopOracle:
     @settings(max_examples=150, deadline=None)
-    @given(multiword_graphs(), st.sampled_from(["none", "identity", "shuffled"]), st.integers(0, 2**32 - 1))
-    def test_linearize_and_truncate(self, graph, order_kind, seed):
+    @given(multiword_graphs(), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(EMPTY_GRAPH, True, 0)
+    @example(ONE_TRIPLE, False, 0)
+    @example(ONE_TRIPLE, True, 0)
+    @example(ONE_SUBJECT, False, 0)
+    @example(ONE_SUBJECT, True, 1)
+    def test_linearize_and_truncate(self, graph, shuffle, seed):
         from kgdialog.sequence import truncate_stream
         from oracles import loop_linearize, loop_truncate
 
-        order = {"none": None, "identity": identity_order(graph),
-                 "shuffled": shuffled_order(graph, np.random.default_rng(seed))}[order_kind]
-        stream = linearize_graph(graph, order)
-        expected = loop_linearize(graph, order)
+        rng, oracle_rng = rng_pair(shuffle, seed)
+        stream = linearize_graph(graph, rng)
+        expected = loop_linearize(graph, oracle_order(graph, oracle_rng))
         got = (list(stream.tokens), stream.entity_ids.tolist(), stream.triple_ids.tolist(), list(stream.triple_sources))
         assert got == expected
         assert len(stream.triple_starts) == len(stream.triple_ends) == len(stream.triple_sources)
@@ -342,6 +409,9 @@ class TestIndexMatchesLoopOracle:
         st.booleans(),
         st.sampled_from([40, 400]),
     )
+    @example(EMPTY_GRAPH, True, 0, (), "alpha ?", "beta", 1, 4, True, 400)
+    @example(ONE_TRIPLE, True, 0, (), "alpha ?", "beta", 1, 4, True, 400)
+    @example(ONE_SUBJECT, True, 3, (), "alpha ?", None, 1, 4, True, 400)
     def test_assembled_sample(self, graph, shuffle, seed, history, question, gold, turns, hist_tokens,
                               use_kg_mask, context_limit):
         from kgdialog.corpus import DialogueSample
@@ -350,7 +420,8 @@ class TestIndexMatchesLoopOracle:
         from kgdialog.training import build_sample_inputs
         from oracles import loop_assemble, loop_linearize, naive_knowledge_columns
 
-        order = shuffled_order(graph, np.random.default_rng(seed)) if shuffle else None
+        # a new RNG pair per budget: each call consumes its RNG
+        order = oracle_order(graph, rng_pair(shuffle, seed)[1])
         tri = loop_linearize(graph, order)[2]
         ends = [p for p in range(1, len(tri)) if tri[p - 1] != 0 and tri[p] != tri[p - 1]] + [len(tri)]
         # on, one before and one after every triple boundary; 0 and 1 keep only [BOS]
@@ -362,13 +433,15 @@ class TestIndexMatchesLoopOracle:
         for budget in budgets:
             limits = AssemblyLimits(max_knowledge_tokens=budget, max_history_tokens=hist_tokens,
                                     max_history_turns=turns, context_limit=context_limit)
-            expected = loop_assemble(graph, order, history, question, gold, INDEX_VOCAB.token_to_id, limits)
+            rng, oracle_rng = rng_pair(shuffle, seed)
+            expected = loop_assemble(graph, oracle_order(graph, oracle_rng), history, question, gold,
+                                     INDEX_VOCAB.token_to_id, limits)
             if expected is None:
                 with pytest.raises(SequenceTooLongError):
-                    build_sample_inputs(sample, INDEX_VOCAB, state, 2, 2, use_kg_mask, limits, order=order,
+                    build_sample_inputs(sample, INDEX_VOCAB, state, 2, 2, use_kg_mask, limits, rng=rng,
                                         with_gold=gold is not None)
                 continue
-            seq, cols = build_sample_inputs(sample, INDEX_VOCAB, state, 2, 2, use_kg_mask, limits, order=order,
+            seq, cols = build_sample_inputs(sample, INDEX_VOCAB, state, 2, 2, use_kg_mask, limits, rng=rng,
                                             with_gold=gold is not None)
             assert seq_fields(seq) == expected, budget
             if use_kg_mask and graph.triples:

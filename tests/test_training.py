@@ -115,7 +115,7 @@ class TestSampleInputs:
     def test_ids_past_tables_refused_whatever_the_selection(self, small_world, use_kg_mask, k):
         train_split, _, vocab, mcfg = small_world
         sample = train_split.samples[0]
-        groups = len(sample.graph.subject_groups())
+        groups = len({t.subject for t in sample.graph.triples})
         small = dataclasses.replace(mcfg, max_entity_ids=groups)  # group ids run 1..groups
         state = init_model(small, seed=0)
         with pytest.raises(SequenceTooLongError, match="entity ids reach .* table of size"):
